@@ -2,13 +2,15 @@
 
 These are genuine pytest-benchmark measurements (multiple rounds) of the
 three loops that dominate simulation cost: the shared-cache access path,
-the batch L1 filter, and the event-driven engine.  Useful for tracking
-performance regressions in the substrate itself.
+the batch L1 filter (compiled, and its pure-Python fallback), and the
+event-driven engine.  Useful for tracking performance regressions in the
+substrate itself.
 """
 
 import numpy as np
 import pytest
 
+from repro.cache import batchkernel
 from repro.cache.geometry import CacheGeometry
 from repro.cache.l1 import simulate_l1_filter
 from repro.cache.shared import PartitionedSharedCache
@@ -37,6 +39,15 @@ def test_micro_shared_cache_access(benchmark, addresses):
 
 
 def test_micro_l1_filter(benchmark, addresses):
+    geo = CacheGeometry(sets=32, ways=4)
+    result = benchmark(simulate_l1_filter, addresses, geo)
+    assert result.size == addresses.size
+
+
+def test_micro_l1_filter_pure(benchmark, addresses, monkeypatch):
+    # The no-compiler fallback, kept next to the compiled row above so the
+    # compiled-vs-fallback ratio stays visible.
+    monkeypatch.setattr(batchkernel, "load_l1_filter", lambda: None)
     geo = CacheGeometry(sets=32, ways=4)
     result = benchmark(simulate_l1_filter, addresses, geo)
     assert result.size == addresses.size

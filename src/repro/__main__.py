@@ -727,8 +727,8 @@ def _report_execution(args: argparse.Namespace) -> None:
 
 def _batch_suffix() -> str:
     """`` batches=... batch-lanes=... ...`` fragment for verbose lines —
-    only the batch counters that are non-zero, so non-batched runs stay
-    one short line."""
+    only the batch and compiled-kernel fallback counters that are
+    non-zero, so non-batched runs stay one short line."""
     counters = METRICS.snapshot().get("counters", {})
     parts = []
     for counter, label in (
@@ -737,6 +737,7 @@ def _batch_suffix() -> str:
         ("batch.fallback", "batch-fallback"),
         ("batch.fallback_pure", "batch-fallback-pure"),
         ("batch.failed", "batch-failed"),
+        ("l1.fallback_pure", "l1-fallback-pure"),
     ):
         value = counters.get(counter, 0)
         if value:

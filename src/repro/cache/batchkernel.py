@@ -1,4 +1,15 @@
-"""Runtime-compiled C lane kernel for :mod:`repro.cache.batch`.
+"""Runtime-compiled C kernels: the L2 lane replay and the private-L1 filter.
+
+One shared object holds two routines, built and bound together by
+:func:`load_kernel`:
+
+* ``replay_lane`` — the inner loop of :mod:`repro.cache.batch` (below);
+* ``l1_filter`` — the inner loop of :func:`repro.cache.l1.simulate_l1_filter`,
+  a line-for-line transcription of that function's Python loop: one
+  MRU-ordered row of ``ways`` int64 tags per set; a hit moves the tag to
+  the front, a miss inserts it at the front and drops the last tag when
+  the row is full.  It writes a ``uint8`` hit mask that Python views as
+  ``bool``.  :func:`load_l1_filter` returns it.
 
 The batched backend replays one prepared program under many policy/L2
 lanes.  Lane state is NumPy struct-of-arrays, but the per-access control
@@ -33,8 +44,10 @@ and re-enters.  Barriers and thread completion are handled in C.
 
 Compiled objects are cached on disk keyed by the SHA-256 of the source,
 so sibling worker processes share one build.  When no compiler is
-available (or the build fails) :func:`load_kernel` returns ``None`` and
-the batch backend falls back to the pure-Python fastpath per lane.
+available (or the build fails) :func:`load_kernel` and
+:func:`load_l1_filter` return ``None``: the batch backend falls back to
+the pure-Python fastpath per lane (``batch.fallback_pure``) and the L1
+filter to its Python loop (``l1.fallback_pure``).
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["KERNEL_SOURCE", "kernel_available", "load_kernel"]
+__all__ = ["KERNEL_SOURCE", "kernel_available", "load_kernel", "load_l1_filter"]
 
 KERNEL_SOURCE = r"""
 #include <stdint.h>
@@ -248,13 +261,45 @@ pause:
     ctrl[C_SEC] = sec; ctrl[C_ACTIVE] = active;
     return TICK;
 }
+
+void l1_filter(
+    const int64_t *addrs, int64_t n,
+    int64_t offset_bits, int64_t index_mask, int64_t tag_shift, int64_t ways,
+    int64_t *rows,      /* [sets*ways] MRU-ordered tags, row[0] = MRU     */
+    int64_t *fill,      /* [sets] valid tags per row (zero on entry)      */
+    uint8_t *hits)      /* [n] out: 1 = L1 hit                            */
+{
+    int64_t i, k;
+    for (i = 0; i < n; i++) {
+        int64_t a = addrs[i];
+        int64_t s = (a >> offset_bits) & index_mask;
+        int64_t tag = a >> tag_shift;
+        int64_t *row = rows + s * ways;
+        int64_t len = fill[s];
+        for (k = 0; k < len; k++) {
+            if (row[k] == tag) break;
+        }
+        if (k < len) {
+            /* Hit: move the tag to the front. */
+            for (; k > 0; k--) row[k] = row[k - 1];
+            row[0] = tag;
+            hits[i] = 1;
+        } else {
+            /* Miss: insert at the front; a full row drops its last tag. */
+            if (len < ways) fill[s] = ++len;
+            for (k = len - 1; k > 0; k--) row[k] = row[k - 1];
+            row[0] = tag;
+            hits[i] = 0;
+        }
+    }
+}
 """
 
 #: Result codes of ``replay_lane``.
 RC_DONE = 0
 RC_TICK = 1
 
-_LOADED: list = [False, None]  # [attempted, ctypes fn | None]
+_LOADED: list = [False, None, None]  # [attempted, replay_lane, l1_filter]
 
 
 def _source_digest() -> str:
@@ -302,11 +347,12 @@ def _compile(out_path: Path) -> bool:
 
 
 def _bind(path: Path):
+    """Bind both routines of the shared object: ``(replay_lane, l1_filter)``."""
     lib = ctypes.CDLL(str(path))
-    fn = lib.replay_lane
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
     p_f64 = ctypes.POINTER(ctypes.c_double)
+    fn = lib.replay_lane
     fn.restype = ctypes.c_int64
     fn.argtypes = [
         p_i64, p_f64, p_f64, p_i64, p_i64, p_i64, p_f64, p_i64,  # streams
@@ -316,14 +362,23 @@ def _bind(path: Path):
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n, n_sections, ways
         ctypes.c_int64, ctypes.c_int64,  # set_mask, enforce
     ]
-    return fn
+    i64 = ctypes.c_int64
+    l1 = lib.l1_filter
+    l1.restype = None
+    l1.argtypes = [
+        p_i64, i64,  # addrs, n
+        i64, i64, i64, i64,  # offset_bits, index_mask, tag_shift, ways
+        p_i64, p_i64, ctypes.POINTER(ctypes.c_uint8),  # rows, fill, hits
+    ]
+    return fn, l1
 
 
 def load_kernel():
     """The bound ``replay_lane`` routine, or ``None`` when unavailable.
 
-    One build/load attempt per process; the outcome (including failure)
-    is memoised so a compiler-less host pays the probe exactly once.
+    One build/load attempt per process builds and binds both routines;
+    the outcome (including failure) is memoised so a compiler-less host
+    pays the probe exactly once.
     """
     if _LOADED[0]:
         return _LOADED[1]
@@ -332,10 +387,19 @@ def load_kernel():
     try:
         if not so_path.exists() and not _compile(so_path):
             return None
-        _LOADED[1] = _bind(so_path)
+        _LOADED[1], _LOADED[2] = _bind(so_path)
     except OSError:
-        _LOADED[1] = None
+        _LOADED[1] = _LOADED[2] = None
     return _LOADED[1]
+
+
+def load_l1_filter():
+    """The bound ``l1_filter`` routine, or ``None`` when unavailable.
+
+    Shares :func:`load_kernel`'s single build/load attempt.
+    """
+    load_kernel()
+    return _LOADED[2]
 
 
 def kernel_available() -> bool:
