@@ -1156,6 +1156,7 @@ def _serve_command(args: argparse.Namespace) -> int:
 def _worker_command(args: argparse.Namespace) -> int:
     """``repro worker``: serve jobs until a signal, or probe via --ping."""
     from repro.dist import HandshakeError, WorkerServer, parse_worker_address, ping_worker
+    from repro.serve.runner import write_port_file
 
     if args.ping:
         try:
@@ -1201,54 +1202,7 @@ def _worker_command(args: argparse.Namespace) -> int:
         print(f"worker: {exc}", file=sys.stderr)
         return 1
     host, port = server.address
-    if args.port_file:
-        port_file = Path(args.port_file)
-        port_file.parent.mkdir(parents=True, exist_ok=True)
-        port_file.write_text(f"{port}\n", encoding="utf-8")
-    print(f"worker: {server.worker_id} listening on {host}:{port}", flush=True)
-
     withdrawals = []
-    if args.registrar:
-        from repro.fleet import RegistrarClient
-
-        try:
-            client = RegistrarClient(parse_worker_address(args.registrar))
-        except ValueError as exc:
-            print(f"worker: {exc}", file=sys.stderr)
-            server.stop()
-            return 2
-        error = None
-        for _attempt in range(5):  # the registrar may still be binding
-            try:
-                client.register(
-                    server.address,
-                    worker_id=server.worker_id,
-                    pid=os.getpid(),
-                    caps=server.caps(),
-                )
-                error = None
-                break
-            except OSError as exc:
-                error = exc
-                time.sleep(0.5)
-        if error is not None:
-            print(f"worker: cannot reach registrar {args.registrar}: {error}", file=sys.stderr)
-            server.stop()
-            return 1
-        withdrawals.append(lambda: client.deregister(server.address))
-        print(f"worker: registered with {args.registrar}", flush=True)
-    if args.registry_dir:
-        from repro.fleet import FileRegistry
-
-        registry = FileRegistry(args.registry_dir)
-        registry.announce(
-            server.address,
-            worker_id=server.worker_id,
-            pid=os.getpid(),
-            caps=server.caps(),
-        )
-        withdrawals.append(lambda: registry.withdraw(server.address))
-        print(f"worker: announced in {args.registry_dir}", flush=True)
 
     def _withdraw() -> None:
         for withdraw in withdrawals:
@@ -1263,6 +1217,51 @@ def _worker_command(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
     try:
+        print(f"worker: {server.worker_id} listening on {host}:{port}", flush=True)
+        if args.registrar:
+            from repro.fleet import RegistrarClient
+
+            try:
+                client = RegistrarClient(parse_worker_address(args.registrar))
+            except ValueError as exc:
+                print(f"worker: {exc}", file=sys.stderr)
+                server.stop()
+                return 2
+            error = None
+            for _attempt in range(5):  # the registrar may still be binding
+                try:
+                    client.register(
+                        server.address,
+                        worker_id=server.worker_id,
+                        pid=os.getpid(),
+                        caps=server.caps(),
+                    )
+                    error = None
+                    break
+                except OSError as exc:
+                    error = exc
+                    time.sleep(0.5)
+            if error is not None:
+                print(
+                    f"worker: cannot reach registrar {args.registrar}: {error}", file=sys.stderr
+                )
+                server.stop()
+                return 1
+            withdrawals.append(lambda: client.deregister(server.address))
+            print(f"worker: registered with {args.registrar}", flush=True)
+        if args.registry_dir:
+            from repro.fleet import FileRegistry
+
+            registry = FileRegistry(args.registry_dir)
+            registry.announce(
+                server.address,
+                worker_id=server.worker_id,
+                pid=os.getpid(),
+                caps=server.caps(),
+            )
+            withdrawals.append(lambda: registry.withdraw(server.address))
+            print(f"worker: announced in {args.registry_dir}", flush=True)
+        write_port_file(args.port_file, port)
         server.serve_forever()
     except (_Interrupted, KeyboardInterrupt) as exc:
         signame = exc.args[0] if isinstance(exc, _Interrupted) else "SIGINT"
@@ -1280,6 +1279,7 @@ def _worker_command(args: argparse.Namespace) -> int:
 def _registrar_command(args: argparse.Namespace) -> int:
     """``repro registrar``: standalone worker-discovery endpoint."""
     from repro.fleet import FleetRegistrar
+    from repro.serve.runner import write_port_file
 
     try:
         registrar = FleetRegistrar(
@@ -1289,11 +1289,6 @@ def _registrar_command(args: argparse.Namespace) -> int:
         print(f"registrar: {exc}", file=sys.stderr)
         return 1
     host, port = registrar.address
-    if args.port_file:
-        port_file = Path(args.port_file)
-        port_file.parent.mkdir(parents=True, exist_ok=True)
-        port_file.write_text(f"{port}\n", encoding="utf-8")
-    print(f"registrar: listening on {host}:{port}", flush=True)
 
     def _stop(signum, frame):
         raise _Interrupted(signum)
@@ -1301,6 +1296,8 @@ def _registrar_command(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
     try:
+        print(f"registrar: listening on {host}:{port}", flush=True)
+        write_port_file(args.port_file, port)
         while True:
             time.sleep(3600)
     except (_Interrupted, KeyboardInterrupt) as exc:

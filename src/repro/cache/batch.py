@@ -46,10 +46,11 @@ import numpy as np
 
 from repro.cache.batchkernel import RC_TICK, load_kernel
 from repro.cache.geometry import CacheGeometry
+from repro.cache.shared import equal_targets, partition_distance, validate_targets
 from repro.cache.stats import CacheStats
-from repro.core.records import IntervalObservation, IntervalRecord, RunResult
+from repro.core.interval import IntervalProtocol
+from repro.core.records import RunResult
 from repro.cpu.streams import CompiledProgram
-from repro.obs.events import ConvergenceEvent
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sync.barrier import BarrierLog
@@ -68,8 +69,9 @@ _P_F64 = ctypes.POINTER(ctypes.c_double)
 class BatchLane:
     """One cell of a batch: an L2 configuration plus its runtime.
 
-    ``runtime`` is consulted at every interval boundary exactly like
-    :class:`~repro.cpu.engine.CMPEngine` consults it (``None`` disables
+    ``runtime`` is consulted at every interval boundary through the same
+    :class:`~repro.core.interval.IntervalProtocol` a solo
+    :class:`~repro.cpu.engine.CMPEngine` run uses (``None`` disables
     repartitioning; interval records are still produced).  ``targets``
     is the initial way assignment; it must sum to ``geometry.ways``.
     """
@@ -79,50 +81,6 @@ class BatchLane:
     targets: list[int] | None = None
     runtime: object | None = None
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-
-
-def _validate_targets(targets: list[int], n: int, ways: int) -> list[int]:
-    """The reference cache's ``set_targets`` checks, verbatim."""
-    targets = [int(v) for v in targets]
-    if len(targets) != n:
-        raise ValueError(f"need {n} targets, got {len(targets)}")
-    if any(v < 0 for v in targets):
-        raise ValueError(f"targets must be non-negative, got {targets}")
-    if sum(targets) != ways:
-        raise ValueError(
-            f"targets must sum to {ways} ways, got {targets} (sum {sum(targets)})"
-        )
-    return targets
-
-
-def _equal_targets(n: int, ways: int) -> list[int]:
-    base, extra = divmod(ways, n)
-    return [base + (1 if t < extra else 0) for t in range(n)]
-
-
-def _partition_distance(counts: list[int], targets: list[int], sets: int, n: int) -> dict:
-    """Misplaced-way distance, matching ``partition_distance`` to the bit
-    (sets visited in order, mean from one float division)."""
-    total = 0
-    worst = 0
-    converged = 0
-    for cb in range(0, sets * n, n):
-        d = 0
-        for t in range(n):
-            over = counts[cb + t] - targets[t]
-            if over > 0:
-                d += over
-        total += d
-        if d > worst:
-            worst = d
-        if d == 0:
-            converged += 1
-    return {
-        "mean_distance": total / sets,
-        "max_distance": worst,
-        "converged_sets": converged,
-        "total_sets": sets,
-    }
 
 
 class _SharedStreams:
@@ -174,12 +132,6 @@ class _SharedStreams:
         self.dch = join(per_dch, np.float64)
         self.dcm = join(per_dcm, np.float64)
         self.dil = join(per_dil, np.int64)
-        self.l1_acc = [0] * n
-        self.l1_hit = [0] * n
-        for section in compiled.sections:
-            for t, s_ in enumerate(section):
-                self.l1_acc[t] += s_.l1_accesses
-                self.l1_hit[t] += s_.l1_hits
 
 
 class _BatchState:
@@ -215,6 +167,47 @@ def _ptr(row: np.ndarray, ctype):
     return row.ctypes.data_as(ctype)
 
 
+class _LaneL2:
+    """One lane's L2 behind the cache interface the interval protocol
+    drives: statistics synced from the kernel's counter rows, targets
+    mirrored into its target row, occupancy read from its count row."""
+
+    def __init__(self, state: _BatchState, li: int, lane: BatchLane, n: int) -> None:
+        geo = lane.geometry
+        if lane.enforce_partition and geo.ways < n:
+            raise ValueError(
+                f"cannot partition {geo.ways} ways among {n} threads with at least one way each"
+            )
+        self.enforce_partition = lane.enforce_partition
+        self.stats = CacheStats(n)
+        self._n, self._sets, self._ways = n, geo.sets, geo.ways
+        self._state, self._li = state, li
+        self.set_targets(lane.targets if lane.targets is not None else equal_targets(n, geo.ways))
+
+    def set_targets(self, targets: list[int]) -> None:
+        self.targets = validate_targets(targets, self._n, self._ways)
+        self._state.targets[self._li, :] = self.targets
+
+    def partition_distance(self) -> dict:
+        counts = self._state.count[self._li, : self._sets * self._n].tolist()
+        return partition_distance(counts, self.targets, self._sets)
+
+    def sync_stats(self) -> None:
+        """Materialise the kernel's counter rows into :attr:`stats`."""
+        state, li, stats = self._state, self._li, self.stats
+        miss, evict = state.miss[li], state.evict[li]
+        ith, ite, inh = state.ith[li], state.ite[li], state.inh[li]
+        for t in range(self._n):
+            h = int(ith[t]) + int(inh[t])
+            stats.hits[t] = h
+            stats.misses[t] = int(miss[t])
+            stats.accesses[t] = h + stats.misses[t]
+            stats.evictions[t] = int(evict[t])
+            stats.inter_thread_hits[t] = int(ith[t])
+            stats.inter_thread_evictions[t] = int(ite[t])
+            stats.intra_thread_hits[t] = int(inh[t])
+
+
 def _replay_lane_compiled(
     kernel,
     shared: _SharedStreams,
@@ -227,40 +220,31 @@ def _replay_lane_compiled(
 ) -> RunResult:
     n = shared.n_threads
     n_sections = shared.n_sections
-    geo = lane.geometry
-    sets, ways = geo.sets, geo.ways
-    if lane.enforce_partition and ways < n:
-        raise ValueError(
-            f"cannot partition {ways} ways among {n} threads with at least one way each"
-        )
-    targets = _validate_targets(
-        lane.targets if lane.targets is not None else _equal_targets(n, ways), n, ways
-    )
-
-    tick_len = interval_instructions * n
-    ctrl = state.ctrl[li]
-    ctrl[_C_NEXT_TICK] = tick_len
-    ctrl[_C_ACTIVE] = n
-    state.targets[li, :] = targets
-
+    l2 = _LaneL2(state, li, lane, n)
     clock = state.clock[li]
     stall = state.stall[li]
     instr = state.instr[li]
     done = state.done[li]
-    miss, evict = state.miss[li], state.evict[li]
-    ith, ite, inh = state.ith[li], state.ite[li], state.inh[li]
 
-    stats = CacheStats(n)
-    intervals: list[IntervalRecord] = []
-    barriers = BarrierLog(n)
-    tick_instr = [0] * n
-    tick_busy = [0.0] * n
-    interval_index = 0
-    tracer = lane.tracer
-    trace_on = tracer.enabled
-    runtime = lane.runtime
-    policy_name = getattr(runtime, "name", "none")
-    overhead = timing.partition_overhead_cycles
+    def charge(threads: list[int], cycles: float) -> None:
+        # Busy cycles are derived as clock - stall, so the clock is all
+        # there is to charge.
+        for t in threads:
+            clock[t] += cycles
+
+    ticks = IntervalProtocol(
+        compiled,
+        l2,
+        timing,
+        lane.runtime,
+        lane.tracer,
+        interval_instructions=interval_instructions,
+        counters=lambda: (instr.tolist(), (clock - stall).tolist()),
+        charge=charge,
+    )
+    ctrl = state.ctrl[li]
+    ctrl[_C_NEXT_TICK] = ticks.next_tick
+    ctrl[_C_ACTIVE] = n
 
     args = (
         _ptr(shared.line, _P_I64), _ptr(shared.dch, _P_F64),
@@ -271,106 +255,25 @@ def _replay_lane_compiled(
         _ptr(state.last[li], _P_I32), _ptr(state.stamp[li], _P_I64),
         _ptr(state.filled[li], _P_I32), _ptr(state.count[li], _P_I64),
         _ptr(state.targets[li], _P_I64),
-        _ptr(miss, _P_I64), _ptr(evict, _P_I64),
-        _ptr(ith, _P_I64), _ptr(ite, _P_I64), _ptr(inh, _P_I64),
+        _ptr(state.miss[li], _P_I64), _ptr(state.evict[li], _P_I64),
+        _ptr(state.ith[li], _P_I64), _ptr(state.ite[li], _P_I64),
+        _ptr(state.inh[li], _P_I64),
         _ptr(clock, _P_F64), _ptr(stall, _P_F64), _ptr(instr, _P_I64),
         _ptr(state.cursor[li], _P_I64), _ptr(done, _P_I32),
         _ptr(state.arrivals[li], _P_F64), _ptr(ctrl, _P_I64),
-        n, n_sections, ways, sets - 1, int(lane.enforce_partition),
+        n, n_sections, lane.geometry.ways, lane.geometry.sets - 1, int(lane.enforce_partition),
     )
-
-    def sync_stats() -> None:
-        for t in range(n):
-            h = int(ith[t]) + int(inh[t])
-            stats.hits[t] = h
-            stats.misses[t] = int(miss[t])
-            stats.accesses[t] = h + stats.misses[t]
-            stats.evictions[t] = int(evict[t])
-            stats.inter_thread_hits[t] = int(ith[t])
-            stats.inter_thread_evictions[t] = int(ite[t])
-            stats.intra_thread_hits[t] = int(inh[t])
-
-    tick_snapshot = stats.snapshot()
-
-    def fire(running: tuple[bool, ...]) -> None:
-        """Interval tick, mirroring the reference ``fire_tick`` exactly."""
-        nonlocal interval_index, tick_snapshot
-        sync_stats()
-        snap = stats.snapshot()
-        busy_now = [float(clock[t]) - float(stall[t]) for t in range(n)]
-        d_instr = tuple(int(instr[t]) - tick_instr[t] for t in range(n))
-        d_busy = tuple(busy_now[t] - tick_busy[t] for t in range(n))
-        cpi = tuple(d_busy[t] / d_instr[t] if d_instr[t] > 0 else 0.0 for t in range(n))
-        obs = IntervalObservation(
-            index=interval_index,
-            cpi=cpi,
-            instructions=d_instr,
-            busy_cycles=d_busy,
-            targets=tuple(targets),
-            l2=snap.minus(tick_snapshot),
-        )
-        if trace_on and lane.enforce_partition:
-            counts = state.count[li, : sets * n].tolist()
-            tracer.emit(
-                ConvergenceEvent(
-                    app=compiled.name,
-                    policy=policy_name,
-                    index=interval_index,
-                    **_partition_distance(counts, targets, sets, n),
-                )
-            )
-        new_targets = None
-        if runtime is not None:
-            new_targets = runtime.on_interval(obs)
-            if new_targets is not None:
-                targets[:] = _validate_targets(list(new_targets), n, ways)
-                state.targets[li, :] = targets
-                for t in range(n):
-                    if running[t]:
-                        clock[t] = float(clock[t]) + overhead
-        intervals.append(
-            IntervalRecord(
-                observation=obs,
-                new_targets=tuple(new_targets) if new_targets is not None else None,
-            )
-        )
-        for t in range(n):
-            tick_instr[t] = int(instr[t])
-            tick_busy[t] = float(clock[t]) - float(stall[t])
-        tick_snapshot = snap
-        interval_index += 1
-        ctrl[_C_NEXT_TICK] += tick_len
-
     while kernel(*args) == RC_TICK:
-        fire(tuple(not bool(done[t]) for t in range(n)))
+        l2.sync_stats()
+        ctrl[_C_NEXT_TICK] = ticks.tick([not d for d in done.tolist()])
+    l2.sync_stats()
+    ticks.finish(int(ctrl[_C_TOT]))
 
-    # Flush a final partial interval so short runs still report stats.
-    # The run is over: no overhead is charged (running all-False).
-    tot = int(ctrl[_C_TOT])
-    if tot > interval_index * tick_len and any(
-        int(instr[t]) - tick_instr[t] > 0 for t in range(n)
-    ):
-        fire((False,) * n)
-    sync_stats()
-
-    arrivals = state.arrivals[li]
+    barriers = BarrierLog(n)
+    arrivals = state.arrivals[li].tolist()
     for si in range(n_sections):
-        barriers.record(si, [float(arrivals[si * n + t]) for t in range(n)])
-
-    return RunResult(
-        app=compiled.name,
-        policy=policy_name,
-        n_threads=n,
-        total_cycles=max(float(clock[t]) for t in range(n)) if n else 0.0,
-        thread_instructions=tuple(int(instr[t]) for t in range(n)),
-        thread_busy_cycles=tuple(float(clock[t]) - float(stall[t]) for t in range(n)),
-        thread_stall_cycles=tuple(float(stall[t]) for t in range(n)),
-        l2_totals=stats.snapshot(),
-        thread_l1_accesses=tuple(shared.l1_acc),
-        thread_l1_hits=tuple(shared.l1_hit),
-        intervals=intervals,
-        barriers=barriers,
-    )
+        barriers.record(si, arrivals[si * n : si * n + n])
+    return ticks.result(clock.tolist(), stall.tolist(), barriers)
 
 
 def _replay_lane_fallback(

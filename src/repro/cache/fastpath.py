@@ -63,10 +63,14 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.shared import PartitionedSharedCache
+from repro.cache.shared import (
+    PartitionedSharedCache,
+    equal_targets,
+    partition_distance,
+    validate_targets,
+)
 from repro.cache.stats import CacheStats
-from repro.core.records import IntervalObservation, IntervalRecord, RunResult
-from repro.obs.events import ConvergenceEvent
+from repro.core.records import RunResult
 from repro.sync.barrier import BarrierLog
 
 __all__ = ["CACHE_BACKENDS", "FastPartitionedSharedCache", "make_shared_cache", "replay"]
@@ -144,32 +148,19 @@ class FastPartitionedSharedCache:
 
         self.targets: list[int] = [0] * n_threads
         if targets is None:
-            targets = self._equal_targets()
+            targets = equal_targets(n_threads, geometry.ways)
         self.set_targets(targets)
 
     # ------------------------------------------------------------------
     # Partition control — identical semantics to the reference class.
     # ------------------------------------------------------------------
-    def _equal_targets(self) -> list[int]:
-        base, extra = divmod(self.geometry.ways, self.n_threads)
-        return [base + (1 if t < extra else 0) for t in range(self.n_threads)]
-
     def set_targets(self, targets: list[int]) -> None:
         """Install new target way assignments (takes effect gradually).
 
         Mutates ``self.targets`` in place: the replay kernel holds a
         local reference to the list across the whole run.
         """
-        targets = [int(v) for v in targets]
-        if len(targets) != self.n_threads:
-            raise ValueError(f"need {self.n_threads} targets, got {len(targets)}")
-        if any(v < 0 for v in targets):
-            raise ValueError(f"targets must be non-negative, got {targets}")
-        if sum(targets) != self.geometry.ways:
-            raise ValueError(
-                f"targets must sum to {self.geometry.ways} ways, got {targets} (sum {sum(targets)})"
-            )
-        self.targets[:] = targets
+        self.targets[:] = validate_targets(targets, self.n_threads, self.geometry.ways)
 
     # ------------------------------------------------------------------
     # Hot path (standalone form; CMPEngine replays bypass it via `replay`)
@@ -321,40 +312,11 @@ class FastPartitionedSharedCache:
         return self._count[s * n : s * n + n]
 
     def partition_distance(self) -> dict:
-        """Misplaced-way distance to the target partition.
-
-        Must match :meth:`PartitionedSharedCache.partition_distance` to
-        the bit: sets are visited in order and the mean uses the same
-        single float division, so the ``convergence`` telemetry events
-        emitted during fast replays are identical to reference ones.
-        """
-        targets = self.targets
-        n = self.n_threads
-        total = 0
-        worst = 0
-        converged = 0
-        if self._count is None:
-            counts = [len(q) for q in self._lru]
-        else:
-            counts = self._count
-        for cb in range(0, len(counts), n):
-            d = 0
-            for t in range(n):
-                over = counts[cb + t] - targets[t]
-                if over > 0:
-                    d += over
-            total += d
-            if d > worst:
-                worst = d
-            if d == 0:
-                converged += 1
-        sets = self.geometry.sets
-        return {
-            "mean_distance": total / sets,
-            "max_distance": worst,
-            "converged_sets": converged,
-            "total_sets": sets,
-        }
+        """Misplaced-way distance to the target partition; the shared
+        :func:`~repro.cache.shared.partition_distance`, so ``convergence``
+        events from fast replays are identical to reference ones."""
+        counts = [len(q) for q in self._lru] if self._count is None else self._count
+        return partition_distance(counts, self.targets, self.geometry.sets)
 
     def check_invariants(self) -> None:
         """Assert internal consistency; used by property-based tests.
@@ -435,7 +397,8 @@ class FastPartitionedSharedCache:
 #: one prepared program (see :mod:`repro.exec.batch`); a solo run with
 #: the batch backend is a 1-lane batch, which by design replays through
 #: the non-batched fastpath kernel — stacking state for one lane buys
-#: nothing — and is counted by the ``batch.fallback`` metric.
+#: nothing — and :func:`repro.sim.run_application` counts it in the
+#: ``batch.fallback`` metric.
 CACHE_BACKENDS = {
     "reference": PartitionedSharedCache,
     "fast": FastPartitionedSharedCache,
@@ -465,10 +428,6 @@ def make_shared_cache(
         raise ValueError(
             f"unknown cache backend {backend!r}; known: {', '.join(sorted(CACHE_BACKENDS))}"
         ) from None
-    if backend == "batch":
-        from repro.obs.metrics import METRICS
-
-        METRICS.counter("batch.fallback").inc()
     return cls(
         geometry, n_threads, enforce_partition=enforce_partition, targets=targets
     )
@@ -792,24 +751,14 @@ def replay(engine) -> RunResult:
     """
     l2 = engine.l2
     compiled = engine.compiled
-    timing = engine.timing
     n = compiled.n_threads
-    l2_hit_cycles = timing.l2_hit_cycles
+    l2_hit_cycles = engine.timing.l2_hit_cycles
 
     clock = [0.0] * n
     busy = [0.0] * n
     instr = [0] * n
     stall = [0.0] * n
     barriers = BarrierLog(n)
-    intervals: list[IntervalRecord] = []
-
-    tick_len = engine.interval_instructions * n
-    interval_index = 0
-    tick_instr = [0] * n
-    tick_busy = [0.0] * n
-    tracer = engine.tracer
-    trace_on = tracer.enabled
-    policy_name = getattr(engine.runtime, "name", "none")
 
     off = l2._offset_bits
     set_mask = l2._set_mask
@@ -832,65 +781,13 @@ def replay(engine) -> RunResult:
             hits[t] = h
             accesses[t] = acc_base[t] + h + miss_c[t]
 
-    tick_snapshot = stats.snapshot()
-    next_tick_val = tick_len
+    ticks = engine.interval_protocol(clock, busy, instr)
 
     def fire(running, clk_now: int) -> int:
-        """Interval tick: snapshot, consult the runtime, apply targets.
-
-        Mirrors the reference engine's ``fire_tick`` exactly; returns
-        the next aggregate-instruction tick for the kernel to watch.
-        """
-        nonlocal interval_index, next_tick_val, tick_snapshot
+        """Interval tick through the shared interval protocol; returns
+        the next aggregate-instruction tick for the kernel to watch."""
         sync_l2(clk_now)
-        snap = stats.snapshot()
-        d_instr = tuple(instr[t] - tick_instr[t] for t in range(n))
-        d_busy = tuple(busy[t] - tick_busy[t] for t in range(n))
-        cpi = tuple(d_busy[t] / d_instr[t] if d_instr[t] > 0 else 0.0 for t in range(n))
-        obs = IntervalObservation(
-            index=interval_index,
-            cpi=cpi,
-            instructions=d_instr,
-            busy_cycles=d_busy,
-            targets=tuple(l2.targets),
-            l2=snap.minus(tick_snapshot),
-        )
-        if trace_on and l2.enforce_partition:
-            # Distance against the targets in effect during the interval
-            # just closed, before the runtime may install new ones.
-            tracer.emit(
-                ConvergenceEvent(
-                    app=compiled.name,
-                    policy=policy_name,
-                    index=interval_index,
-                    **l2.partition_distance(),
-                )
-            )
-        new_targets = None
-        if engine.runtime is not None:
-            new_targets = engine.runtime.on_interval(obs)
-            if new_targets is not None:
-                l2.set_targets(list(new_targets))
-                # Reconfiguration cost goes to every *running* thread;
-                # threads waiting at the barrier absorb it in their slack.
-                oh = timing.partition_overhead_cycles
-                for t in range(n):
-                    if running[t]:
-                        clock[t] += oh
-                        busy[t] += oh
-        intervals.append(
-            IntervalRecord(
-                observation=obs,
-                new_targets=tuple(new_targets) if new_targets is not None else None,
-            )
-        )
-        for t in range(n):
-            tick_instr[t] = instr[t]
-            tick_busy[t] = busy[t]
-        tick_snapshot = snap
-        interval_index += 1
-        next_tick_val += tick_len
-        return next_tick_val
+        return ticks.tick(running)
 
     def barrier(section_index: int, arrivals: list[float]) -> None:
         """End-of-section barrier: everyone resumes at the latest arrival."""
@@ -962,41 +859,13 @@ def replay(engine) -> RunResult:
     kernel = _get_kernel(n, l2.enforce_partition)
     clk, tot = kernel(
         range(len(compiled.sections)), prep, clock, busy, stall, instr, fire, barrier,
-        tick_len, l2._clock,
+        ticks.tick_len, l2._clock,
         l2._lines, l2._tags, l2._owner, l2._last, l2._stamp,
         l2._lru, l2._queue_of, l2._filled, l2.targets, l2._count,
         set_mask, l2.geometry.ways,
         stats.misses, stats.evictions, stats.inter_thread_hits,
         stats.inter_thread_evictions, stats.intra_thread_hits,
     )
-
-    # Flush a final partial interval so short runs still report stats.
-    if tot > (interval_index * tick_len) and any(
-        instr[t] - tick_instr[t] > 0 for t in range(n)
-    ):
-        # The run is over; record the partial interval but charge no
-        # overhead (there is no next interval to reconfigure for).
-        fire((False,) * n, clk)
     sync_l2(clk)
-
-    l1_acc = [0] * n
-    l1_hit = [0] * n
-    for section in compiled.sections:
-        for t, s_ in enumerate(section):
-            l1_acc[t] += s_.l1_accesses
-            l1_hit[t] += s_.l1_hits
-
-    return RunResult(
-        app=compiled.name,
-        policy=getattr(engine.runtime, "name", "none"),
-        n_threads=n,
-        total_cycles=max(clock) if n else 0.0,
-        thread_instructions=tuple(instr),
-        thread_busy_cycles=tuple(busy),
-        thread_stall_cycles=tuple(stall),
-        l2_totals=stats.snapshot(),
-        thread_l1_accesses=tuple(l1_acc),
-        thread_l1_hits=tuple(l1_hit),
-        intervals=intervals,
-        barriers=barriers,
-    )
+    ticks.finish(tot)
+    return ticks.result(clock, stall, barriers)

@@ -32,9 +32,69 @@ from __future__ import annotations
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 
-__all__ = ["PartitionedSharedCache"]
+__all__ = ["PartitionedSharedCache", "equal_targets", "partition_distance", "validate_targets"]
 
 _INVALID = -1
+
+
+def equal_targets(n_threads: int, ways: int) -> list[int]:
+    """The equal split the paper's runtime starts from (first interval)."""
+    base, extra = divmod(ways, n_threads)
+    return [base + (1 if t < extra else 0) for t in range(n_threads)]
+
+
+def validate_targets(targets, n_threads: int, ways: int) -> list[int]:
+    """``targets`` as ints, checked to be ``n_threads`` non-negative way
+    counts summing to ``ways``; raises ValueError otherwise."""
+    targets = [int(v) for v in targets]
+    if len(targets) != n_threads:
+        raise ValueError(f"need {n_threads} targets, got {len(targets)}")
+    if any(v < 0 for v in targets):
+        raise ValueError(f"targets must be non-negative, got {targets}")
+    if sum(targets) != ways:
+        raise ValueError(
+            f"targets must sum to {ways} ways, got {targets} (sum {sum(targets)})"
+        )
+    return targets
+
+
+def partition_distance(counts, targets, sets: int) -> dict:
+    """How far eviction control still is from the target partition.
+
+    ``counts`` is the flat per-(set, thread) occupancy, set-major.  Per
+    set, the distance is the number of *misplaced* ways — ways held
+    beyond their owner's target, ``sum_t max(0, count_t - target_t)`` —
+    which is the number of future evictions needed to reach the targets
+    exactly.  Partially filled sets only count ways actually over target
+    (unfilled ways are free to place correctly).  Sets are visited in
+    order and the mean is one float division, so every backend reports
+    the same bits.
+
+    Returns a dict feeding the ``convergence`` telemetry event:
+    ``mean_distance`` (misplaced ways per set), ``max_distance`` (worst
+    set), ``converged_sets`` (sets at distance zero) and ``total_sets``.
+    """
+    n = len(targets)
+    total = 0
+    worst = 0
+    converged = 0
+    for cb in range(0, sets * n, n):
+        d = 0
+        for t in range(n):
+            over = counts[cb + t] - targets[t]
+            if over > 0:
+                d += over
+        total += d
+        if d > worst:
+            worst = d
+        if d == 0:
+            converged += 1
+    return {
+        "mean_distance": total / sets,
+        "max_distance": worst,
+        "converged_sets": converged,
+        "total_sets": sets,
+    }
 
 
 class PartitionedSharedCache:
@@ -85,28 +145,15 @@ class PartitionedSharedCache:
         self._clock = 0
 
         if targets is None:
-            targets = self._equal_targets()
+            targets = equal_targets(n_threads, geometry.ways)
         self.set_targets(targets)
 
     # ------------------------------------------------------------------
     # Partition control (the "Configuration Unit" applies through here).
     # ------------------------------------------------------------------
-    def _equal_targets(self) -> list[int]:
-        base, extra = divmod(self.geometry.ways, self.n_threads)
-        return [base + (1 if t < extra else 0) for t in range(self.n_threads)]
-
     def set_targets(self, targets: list[int]) -> None:
         """Install new target way assignments (takes effect gradually)."""
-        targets = [int(v) for v in targets]
-        if len(targets) != self.n_threads:
-            raise ValueError(f"need {self.n_threads} targets, got {len(targets)}")
-        if any(v < 0 for v in targets):
-            raise ValueError(f"targets must be non-negative, got {targets}")
-        if sum(targets) != self.geometry.ways:
-            raise ValueError(
-                f"targets must sum to {self.geometry.ways} ways, got {targets} (sum {sum(targets)})"
-            )
-        self.targets = targets
+        self.targets = validate_targets(targets, self.n_threads, self.geometry.ways)
 
     # ------------------------------------------------------------------
     # Hot path
@@ -255,42 +302,10 @@ class PartitionedSharedCache:
         return list(self._count[s])
 
     def partition_distance(self) -> dict:
-        """How far eviction control still is from the target partition.
-
-        Per set, the distance is the number of *misplaced* ways — ways
-        held beyond their owner's target, ``sum_t max(0, count_t -
-        target_t)`` — which is the number of future evictions needed to
-        reach the targets exactly.  Partially filled sets only count ways
-        actually over target (unfilled ways are free to place correctly).
-
-        Returns a dict feeding the ``convergence`` telemetry event:
-        ``mean_distance`` (misplaced ways per set), ``max_distance``
-        (worst set), ``converged_sets`` (sets at distance zero) and
-        ``total_sets``.
-        """
-        targets = self.targets
-        n = self.n_threads
-        total = 0
-        worst = 0
-        converged = 0
-        for counts in self._count:
-            d = 0
-            for t in range(n):
-                over = counts[t] - targets[t]
-                if over > 0:
-                    d += over
-            total += d
-            if d > worst:
-                worst = d
-            if d == 0:
-                converged += 1
-        sets = self.geometry.sets
-        return {
-            "mean_distance": total / sets,
-            "max_distance": worst,
-            "converged_sets": converged,
-            "total_sets": sets,
-        }
+        """Misplaced-way distance to the target partition; see
+        :func:`partition_distance`."""
+        counts = [c for row in self._count for c in row]
+        return partition_distance(counts, self.targets, self.geometry.sets)
 
     def check_invariants(self) -> None:
         """Assert internal consistency; used by property-based tests.

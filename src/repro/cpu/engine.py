@@ -15,19 +15,20 @@ Two pieces of program structure are enforced here:
 
 * **Execution intervals** (paper §VI): after every
   ``interval_instructions × n_threads`` aggregate instructions, the engine
-  hands an :class:`IntervalObservation` to the runtime system, which may
-  return new way targets; the engine applies them to the cache and charges
-  the configured runtime overhead to every core.
+  ticks its :class:`~repro.core.interval.IntervalProtocol`, which hands an
+  :class:`~repro.core.records.IntervalObservation` to the runtime system,
+  applies any new way targets to the cache and charges the configured
+  runtime overhead to every running core.
 """
 
 from __future__ import annotations
 
 from repro.cache.fastpath import replay as _fastpath_replay
 from repro.cache.shared import PartitionedSharedCache
-from repro.core.records import IntervalObservation, IntervalRecord, RunResult
+from repro.core.interval import IntervalProtocol
+from repro.core.records import RunResult
 from repro.cpu.streams import CompiledProgram
 from repro.cpu.timing import TimingModel
-from repro.obs.events import ConvergenceEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sync.barrier import BarrierLog
 
@@ -99,87 +100,41 @@ class CMPEngine:
             return _fastpath_replay(self)
         return self._run_reference()
 
+    def interval_protocol(
+        self, clock: list[float], busy: list[float], instr: list[int]
+    ) -> IntervalProtocol:
+        """This run's interval protocol over list-held per-thread counters
+        (the reference loop and the fastpath replay keep them alike)."""
+
+        def charge(threads: list[int], cycles: float) -> None:
+            for t in threads:
+                clock[t] += cycles
+                busy[t] += cycles
+
+        return IntervalProtocol(
+            self.compiled,
+            self.l2,
+            self.timing,
+            self.runtime,
+            self.tracer,
+            interval_instructions=self.interval_instructions,
+            counters=lambda: (instr, busy),
+            charge=charge,
+        )
+
     def _run_reference(self) -> RunResult:
         n = self.compiled.n_threads
-        timing = self.timing
-        l2 = self.l2
-        l2_hit_cycles = timing.l2_hit_cycles
-        access = l2.access
+        l2_hit_cycles = self.timing.l2_hit_cycles
+        access = self.l2.access
 
         clock = [0.0] * n
         busy = [0.0] * n
         instr = [0] * n
         stall = [0.0] * n
         barriers = BarrierLog(n)
-        intervals: list[IntervalRecord] = []
-
-        tick_len = self.interval_instructions * n
-        next_tick = tick_len
+        ticks = self.interval_protocol(clock, busy, instr)
+        next_tick = ticks.next_tick
         total_instr = 0
-        interval_index = 0
-        tick_instr = [0] * n
-        tick_busy = [0.0] * n
-        tick_snapshot = l2.stats.snapshot()
-        tracer = self.tracer
-        trace_on = tracer.enabled
-        policy_name = getattr(self.runtime, "name", "none")
-
-        def fire_tick(running: list[bool] | None = None) -> None:
-            nonlocal next_tick, interval_index, tick_snapshot
-            snap = l2.stats.snapshot()
-            d_instr = tuple(instr[t] - tick_instr[t] for t in range(n))
-            d_busy = tuple(busy[t] - tick_busy[t] for t in range(n))
-            cpi = tuple(
-                d_busy[t] / d_instr[t] if d_instr[t] > 0 else 0.0 for t in range(n)
-            )
-            obs = IntervalObservation(
-                index=interval_index,
-                cpi=cpi,
-                instructions=d_instr,
-                busy_cycles=d_busy,
-                targets=tuple(l2.targets),
-                l2=snap.minus(tick_snapshot),
-            )
-            if trace_on and l2.enforce_partition:
-                # Distance is measured against the targets in effect during
-                # the interval just closed, *before* the runtime may install
-                # new ones — i.e. how far eviction control actually got.
-                tracer.emit(
-                    ConvergenceEvent(
-                        app=self.compiled.name,
-                        policy=policy_name,
-                        index=interval_index,
-                        **l2.partition_distance(),
-                    )
-                )
-            new_targets = None
-            if self.runtime is not None:
-                new_targets = self.runtime.on_interval(obs)
-                if new_targets is not None:
-                    l2.set_targets(list(new_targets))
-                    # The partitioning computation runs on the cores; charge
-                    # its cost to every *running* thread (paper: overheads
-                    # < 1.5 %, included in all reported results).  Threads
-                    # already waiting at the barrier absorb it in their
-                    # slack: their arrival is fixed and the work happens
-                    # while they would be stalled anyway.
-                    oh = timing.partition_overhead_cycles
-                    for t in range(n):
-                        if running is None or running[t]:
-                            clock[t] += oh
-                            busy[t] += oh
-            intervals.append(
-                IntervalRecord(
-                    observation=obs,
-                    new_targets=tuple(new_targets) if new_targets is not None else None,
-                )
-            )
-            for t in range(n):
-                tick_instr[t] = instr[t]
-                tick_busy[t] = busy[t]
-            tick_snapshot = snap
-            interval_index += 1
-            next_tick += tick_len
 
         for section_index, section in enumerate(self.compiled.sections):
             addr_lists = [s.addresses.tolist() for s in section]
@@ -213,7 +168,7 @@ class CMPEngine:
                     done[t] = True
                     active -= 1
                     if total_instr >= next_tick:
-                        fire_tick([not d for d in done])
+                        next_tick = ticks.tick([not d for d in done])
                     continue
                 lat = l2_hit_cycles if access(t, addr_lists[t][i]) else mc_lists[t][i]
                 cost = dc_lists[t][i] + lat
@@ -224,7 +179,7 @@ class CMPEngine:
                 total_instr += di
                 cursors[t] = i + 1
                 if total_instr >= next_tick:
-                    fire_tick([not d for d in done])
+                    next_tick = ticks.tick([not d for d in done])
 
             # Barrier: everyone resumes at the latest arrival.
             barriers.record(section_index, arrivals)
@@ -233,32 +188,5 @@ class CMPEngine:
                 stall[t] += release - arrivals[t]
                 clock[t] = release
 
-        # Flush a final partial interval so short runs still report stats.
-        if total_instr > (interval_index * tick_len) and any(
-            instr[t] - tick_instr[t] > 0 for t in range(n)
-        ):
-            # The run is over; record the partial interval but charge no
-            # overhead (there is no next interval to reconfigure for).
-            fire_tick([False] * n)
-
-        l1_acc = [0] * n
-        l1_hit = [0] * n
-        for section in self.compiled.sections:
-            for t, s in enumerate(section):
-                l1_acc[t] += s.l1_accesses
-                l1_hit[t] += s.l1_hits
-
-        return RunResult(
-            app=self.compiled.name,
-            policy=getattr(self.runtime, "name", "none"),
-            n_threads=n,
-            total_cycles=max(clock) if n else 0.0,
-            thread_instructions=tuple(instr),
-            thread_busy_cycles=tuple(busy),
-            thread_stall_cycles=tuple(stall),
-            l2_totals=l2.stats.snapshot(),
-            thread_l1_accesses=tuple(l1_acc),
-            thread_l1_hits=tuple(l1_hit),
-            intervals=intervals,
-            barriers=barriers,
-        )
+        ticks.finish(total_instr)
+        return ticks.result(clock, stall, barriers)

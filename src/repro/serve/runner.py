@@ -15,6 +15,7 @@ benchmark use, so they exercise the real HTTP path without subprocesses.
 from __future__ import annotations
 
 import asyncio
+import os
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -30,9 +31,33 @@ from repro.serve.http import start_http_server
 from repro.serve.protocol import DEFAULT_PORT
 from repro.serve.service import SweepService
 
-__all__ = ["ServeSettings", "ServerHandle", "run_server", "serve_forever", "start_in_thread"]
+__all__ = [
+    "ServeSettings",
+    "ServerHandle",
+    "run_server",
+    "serve_forever",
+    "start_in_thread",
+    "write_port_file",
+]
 
 _SIGNALS = ("SIGINT", "SIGTERM")
+
+
+def write_port_file(path: str | Path | None, port: int) -> None:
+    """Publish a bound port to ``path`` (no-op for None), the readiness
+    signal of ``repro serve``, ``repro worker`` and ``repro registrar``.
+
+    A supervisor may send SIGTERM the moment the file appears, so callers
+    install their signal handlers *before* calling this.  The write is
+    atomic (temp file + rename): a poller never reads a partial port.
+    """
+    if path is None:
+        return
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    tmp.write_text(f"{port}\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -157,34 +182,15 @@ async def serve_forever(
     """Run the service until a signal (or ``stop``) triggers the drain.
 
     ``ready`` (a *threading* event — it is set from inside the loop but
-    awaited from another thread) fires once the socket is bound and the
-    port file, if any, is written.  ``stop`` lets tests drive shutdown
-    without signals.
+    awaited from another thread) fires once the socket is bound, the
+    signal handlers are installed and the port file, if any, is written.
+    ``stop`` lets tests drive shutdown without signals.
     """
     service = build_service(settings)
     service.start()
     server = await start_http_server(service, settings.host, settings.port)
     bound_port = server.sockets[0].getsockname()[1]
     settings.port = bound_port  # report back when port=0 picked a free one
-    if settings.port_file is not None:
-        port_file = Path(settings.port_file)
-        port_file.parent.mkdir(parents=True, exist_ok=True)
-        port_file.write_text(f"{bound_port}\n", encoding="utf-8")
-    print(f"serve: listening on http://{settings.host}:{bound_port}", flush=True)
-    if service.registrar is not None:
-        reg_port = service.registrar.address[1]
-        if settings.registrar_port_file is not None:
-            reg_file = Path(settings.registrar_port_file)
-            reg_file.parent.mkdir(parents=True, exist_ok=True)
-            reg_file.write_text(f"{reg_port}\n", encoding="utf-8")
-        print(f"serve: registrar on {settings.host}:{reg_port}", flush=True)
-    if service.fleet is not None:
-        service.fleet.start()
-        print(
-            f"serve: autoscaling fleet [{service.fleet.min_workers}, "
-            f"{service.fleet.max_workers}]",
-            flush=True,
-        )
 
     loop = asyncio.get_running_loop()
     stop = stop or asyncio.Event()
@@ -203,9 +209,22 @@ async def serve_forever(
             installed.append(signum)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread (start_in_thread): tests use `stop`
-    if ready is not None:
-        ready.set()
     try:
+        print(f"serve: listening on http://{settings.host}:{bound_port}", flush=True)
+        if service.registrar is not None:
+            reg_port = service.registrar.address[1]
+            write_port_file(settings.registrar_port_file, reg_port)
+            print(f"serve: registrar on {settings.host}:{reg_port}", flush=True)
+        if service.fleet is not None:
+            service.fleet.start()
+            print(
+                f"serve: autoscaling fleet [{service.fleet.min_workers}, "
+                f"{service.fleet.max_workers}]",
+                flush=True,
+            )
+        write_port_file(settings.port_file, bound_port)
+        if ready is not None:
+            ready.set()
         await stop.wait()
         signame = got_signal[0] if got_signal else "stop"
         print(f"serve: draining ({signame})", flush=True)

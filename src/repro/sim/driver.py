@@ -170,6 +170,10 @@ def run_application(
         policy_obj = make_policy(policy, config)
         policy_obj.reset()
     runtime = RuntimeSystem(policy_obj, tracer=tracer, app=compiled.name)
+    if config.cache_backend == "batch":
+        # A solo cell on the batch backend: a 1-lane batch, replayed by
+        # the fastpath kernel (see repro.cache.fastpath.CACHE_BACKENDS).
+        METRICS.counter("batch.fallback").inc()
     l2 = make_shared_cache(
         config.l2_geometry,
         config.n_threads,

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.cache.batch import BatchLane, replay_batch
+from repro.cache.fastpath import FastPartitionedSharedCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.shared import PartitionedSharedCache
 from repro.cpu.engine import CMPEngine
 from repro.cpu.streams import CompiledProgram, L2Stream
 from repro.cpu.timing import TimingModel
+from repro.obs.metrics import METRICS
 from repro.partition.cpi import CPIProportionalPolicy
 from repro.partition.static import StaticEqualPolicy
 from repro.core.runtime import RuntimeSystem
@@ -128,21 +131,69 @@ class TestBasicExecution:
             CMPEngine(c, l2, timing, None, interval_instructions=0)
 
 
+def replay(kernel, compiled, geo, timing, runtime=None, *, interval_instructions,
+           enforce_partition=True):
+    """Replay ``compiled`` on one L2 kernel, the way each backend's driver
+    does: ``reference``/``fast`` through :class:`CMPEngine`, ``batch`` and
+    ``batch-pure`` as a 1-lane :func:`replay_batch`."""
+    targets = runtime.initial_targets() if runtime is not None else None
+    if kernel.startswith("batch"):
+        lane = BatchLane(
+            geometry=geo, enforce_partition=enforce_partition, targets=targets, runtime=runtime
+        )
+        (result,) = replay_batch(
+            compiled, [lane], timing, interval_instructions=interval_instructions
+        )
+        return result
+    cache = PartitionedSharedCache if kernel == "reference" else FastPartitionedSharedCache
+    l2 = cache(geo, compiled.n_threads, enforce_partition=enforce_partition, targets=targets)
+    return CMPEngine(
+        compiled, l2, timing, runtime, interval_instructions=interval_instructions
+    ).run()
+
+
+class _AlwaysRepartition:
+    """A runtime that reinstalls an equal 2-way split at every interval."""
+
+    name = "always"
+
+    def initial_targets(self):
+        return [2, 2]
+
+    def on_interval(self, obs):
+        return [2, 2]
+
+
 class TestIntervalsAndRuntime:
+    """The interval protocol's edge cases, on the reference loop; the
+    subclasses below pin the same cases on every other L2 kernel."""
+
+    kernel = "reference"
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self, monkeypatch):
+        if self.kernel == "batch-pure":
+            # No compiled lane kernel: the batch's pure-Python fallback.
+            monkeypatch.setattr("repro.cache.batch.load_kernel", lambda: None)
+        yield
+        if self.kernel == "batch-pure":
+            assert METRICS.counter("batch.fallback_pure").value > 0
+
+    def run(self, compiled, geo, timing, runtime=None, **kwargs):
+        return replay(self.kernel, compiled, geo, timing, runtime, **kwargs)
+
     def test_intervals_fire_on_instruction_boundaries(self, geo, timing):
         # 10 accesses x 10 instructions = 100 instructions; tick every
         # 20 instr x 1 thread -> 5 intervals.
         c = compiled_of([[stream(np.arange(10) * 64)]])
-        l2 = PartitionedSharedCache(geo, 1, enforce_partition=False)
-        r = CMPEngine(c, l2, timing, None, interval_instructions=20).run()
+        r = self.run(c, geo, timing, interval_instructions=20, enforce_partition=False)
         assert len(r.intervals) == 5
         for rec in r.intervals:
             assert sum(rec.observation.instructions) == 20
 
     def test_final_partial_interval_flushed(self, geo, timing):
         c = compiled_of([[stream(np.arange(5) * 64)]])  # 50 instructions
-        l2 = PartitionedSharedCache(geo, 1, enforce_partition=False)
-        r = CMPEngine(c, l2, timing, None, interval_instructions=40).run()
+        r = self.run(c, geo, timing, interval_instructions=40, enforce_partition=False)
         assert len(r.intervals) == 2
         assert sum(sum(rec.observation.instructions) for rec in r.intervals) == 50
 
@@ -151,8 +202,7 @@ class TestIntervalsAndRuntime:
         c = compiled_of([streams])
         policy = CPIProportionalPolicy(2, geo.ways)
         runtime = RuntimeSystem(policy)
-        l2 = PartitionedSharedCache(geo, 2, targets=runtime.initial_targets())
-        r = CMPEngine(c, l2, timing, runtime, interval_instructions=50).run()
+        r = self.run(c, geo, timing, runtime, interval_instructions=50)
         assert runtime.invocations >= 1
         assert all(
             rec.new_targets is None or sum(rec.new_targets) == geo.ways
@@ -164,30 +214,34 @@ class TestIntervalsAndRuntime:
         streams = [stream(np.arange(10) * 64), stream(np.arange(10) * 64 + 4096)]
         c = compiled_of([streams])
         runtime = RuntimeSystem(StaticEqualPolicy(2, geo.ways))
-        l2 = PartitionedSharedCache(geo, 2, targets=runtime.initial_targets())
-        r = CMPEngine(c, l2, timing, runtime, interval_instructions=40).run()
+        r = self.run(c, geo, timing, runtime, interval_instructions=40)
         assert all(rec.new_targets is None for rec in r.intervals)
-        assert l2.targets == [2, 2]
+        assert all(rec.observation.targets == (2, 2) for rec in r.intervals)
 
     def test_partition_overhead_charged(self, geo):
         timing = TimingModel(partition_overhead_cycles=1000.0)
         streams = [stream(np.arange(10) * 64), stream(np.arange(10) * 64 + 4096)]
         runtime = RuntimeSystem(CPIProportionalPolicy(2, geo.ways))
-        l2 = PartitionedSharedCache(geo, 2, targets=runtime.initial_targets())
-        r1 = CMPEngine(compiled_of([streams]), l2, timing, runtime,
-                       interval_instructions=50).run()
+        r1 = self.run(compiled_of([streams]), geo, timing, runtime, interval_instructions=50)
         # Same program without a runtime: cheaper by >= one overhead.
-        l2b = PartitionedSharedCache(geo, 2)
-        r2 = CMPEngine(compiled_of([streams]), l2b, timing, None,
-                       interval_instructions=50).run()
+        r2 = self.run(compiled_of([streams]), geo, timing, interval_instructions=50)
         assert r1.total_cycles >= r2.total_cycles + 1000.0
+
+    def test_overhead_charged_to_running_threads_only(self, geo):
+        # Thread 0 retires after one access and waits at the barrier
+        # when the first tick fires; the final flush charges nobody.
+        timing = TimingModel(partition_overhead_cycles=1000.0)
+        c = compiled_of([[stream([0]), stream(np.arange(10) * 64 + 4096)]])
+        r = self.run(c, geo, timing, _AlwaysRepartition(), interval_instructions=30)
+        assert [rec.new_targets for rec in r.intervals] == [(2, 2), (2, 2)]
+        access = 10.0 + timing.mem_cycles
+        assert r.thread_busy_cycles == (access, 10 * access + 1000.0)
 
     def test_busy_cpi_excludes_stall(self, geo, timing):
         fast = stream([0], d_instr=[100], d_cycles=[10.0])
         slow = stream([64], d_instr=[100], d_cycles=[5000.0])
         c = compiled_of([[fast, slow]])
-        l2 = PartitionedSharedCache(geo, 2)
-        r = CMPEngine(c, l2, timing, None, interval_instructions=100).run()
+        r = self.run(c, geo, timing, interval_instructions=100)
         # Thread 0 busy CPI must reflect only its own 10 + mem cycles,
         # not the barrier wait.
         cpi0 = r.thread_cpi(0)
@@ -195,7 +249,18 @@ class TestIntervalsAndRuntime:
 
     def test_l1_totals_propagated(self, geo, timing):
         c = compiled_of([[stream([0, 64])]])
-        l2 = PartitionedSharedCache(geo, 1, enforce_partition=False)
-        r = CMPEngine(c, l2, timing, None, interval_instructions=1000).run()
+        r = self.run(c, geo, timing, interval_instructions=1000, enforce_partition=False)
         assert r.thread_l1_accesses == (2,)
         assert r.thread_l1_hits == (0,)
+
+
+class TestIntervalsAndRuntimeFast(TestIntervalsAndRuntime):
+    kernel = "fast"
+
+
+class TestIntervalsAndRuntimeBatch(TestIntervalsAndRuntime):
+    kernel = "batch"
+
+
+class TestIntervalsAndRuntimeBatchPure(TestIntervalsAndRuntime):
+    kernel = "batch-pure"

@@ -139,6 +139,15 @@ class TestSingleLaneFallback:
         assert METRICS.counter("batch.fallback").value == 1
         assert result == run_application("art", "shared", BASE.with_(cache_backend="fast"))
 
+    def test_coexecution_under_batch_counts_no_fallback(self):
+        # Co-execution drives its own loop over the shared L2; no batch
+        # cell exists there, so none can have fallen back.
+        from repro.multiapp import run_coexecution
+
+        config = SystemConfig.quick().with_(cache_backend="batch", n_intervals=2)
+        run_coexecution(["ft", "cg"], config, scheme="shared", threads_per_app=2)
+        assert METRICS.counter("batch.fallback").value == 0
+
 
 class TestBatchedEngines:
     def test_serial_engine_fans_batches_back_out(self):
