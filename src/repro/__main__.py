@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
-import time
 from pathlib import Path
 
 from repro.exec import (
@@ -84,7 +82,7 @@ from repro.obs import (
 from repro.partition import POLICY_REGISTRY
 from repro.prep import configure_prep, get_prep_store
 from repro.serve.protocol import DEFAULT_PORT
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKEND_NAMES, SystemConfig
 from repro.trace.workloads import list_workloads
 
 __all__ = ["build_parser", "main"]
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--cache-backend", default="fast", choices=("fast", "reference", "batch"),
+            "--cache-backend", default="fast", choices=CACHE_BACKEND_NAMES,
             help="shared-L2 implementation: fast (vectorized replay kernel, "
             "default), reference (readable per-set model), or batch (cells "
             "sharing a prepared program replay together in one pass); "
@@ -179,30 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
             "processes to dispatch jobs to (implies --engine remote)",
         )
         p.add_argument(
-            "--registrar", default=None, metavar="HOST:PORT",
-            help="discover workers from a fleet registrar instead of (or in "
-            "addition to) --workers; late joiners are admitted mid-sweep "
-            "(implies --engine remote; DESIGN.md §J)",
-        )
-        p.add_argument(
-            "--registry-dir", default=None, metavar="DIR",
-            help="discover workers from a file-based registry directory "
-            "(single-box fleets; implies --engine remote)",
-        )
-        p.add_argument(
-            "--publish-results", action="store_true",
-            help="ask workers advertising the store-publish cap to file "
-            "results in their shared store themselves; only the per-cell "
-            "summary travels back (sweep aggregates are unchanged)",
-        )
-        p.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="persist simulation results in a content-addressed store at DIR",
-        )
-        p.add_argument(
-            "--store-shards", type=_positive_int, default=1, metavar="N",
-            help="shard the --cache-dir store across N subdirectories keyed "
-            "by result digest (default 1: unsharded)",
         )
         p.add_argument(
             "--prep-dir", default=None, metavar="DIR",
@@ -465,54 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="finished sweeps kept in memory for attach/replay (default 64; "
         "older sweeps fall back to their on-disk journals)",
     )
-    p_srv.add_argument(
-        "--registrar-port", type=int, default=None, metavar="PORT",
-        help="host a fleet registrar on PORT (0 picks a free port): workers "
-        "announce themselves and the service dispatches to the discovered "
-        "fleet, admitting late joiners mid-sweep (DESIGN.md §J)",
-    )
-    p_srv.add_argument(
-        "--registrar-port-file", default=None, metavar="PATH",
-        help="write the registrar's bound port to PATH (pairs with "
-        "--registrar-port 0)",
-    )
-    p_srv.add_argument(
-        "--fleet-min", type=int, default=0, metavar="N",
-        help="autoscaler floor: keep at least N subprocess workers (default 0)",
-    )
-    p_srv.add_argument(
-        "--fleet-max", type=int, default=0, metavar="N",
-        help="autoscaler ceiling: scale up to N subprocess workers on "
-        "sustained backlog, down again with hysteresis (default 0: "
-        "autoscaling off)",
-    )
-    p_srv.add_argument(
-        "--fleet-poll", type=float, default=1.0, metavar="S",
-        help="autoscaler poll interval in seconds (default 1.0)",
-    )
-    p_srv.add_argument(
-        "--store-shards", type=_positive_int, default=1, metavar="N",
-        help="shard the result store across N subdirectories keyed by "
-        "result digest (default 1: unsharded)",
-    )
-
-    p_reg = sub.add_parser(
-        "registrar", help="run a standalone fleet registrar (DESIGN.md §J)"
-    )
-    p_reg.add_argument("--host", default="127.0.0.1", help="bind address (default localhost)")
-    p_reg.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0: pick a free port and print it)",
-    )
-    p_reg.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound port to PATH once listening (for scripts)",
-    )
-    p_reg.add_argument(
-        "--probe-interval", type=float, default=2.0, metavar="S",
-        help="liveness sweep interval in seconds (default 2.0; 0 disables "
-        "the sweeper — members are only evicted on deregister)",
-    )
 
     p_sub = sub.add_parser(
         "submit", help="submit a sweep grid to a running `repro serve` and wait"
@@ -557,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instructions per thread per interval",
     )
     p_sub.add_argument(
-        "--cache-backend", default="fast", choices=("fast", "reference", "batch"),
+        "--cache-backend", default="fast", choices=CACHE_BACKEND_NAMES,
         help="shared-L2 implementation (must match other submitters for "
         "coalescing: the backend is part of the cell identity)",
     )
@@ -599,22 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinator over the job connection and verified by content hash",
     )
     p_wk.add_argument(
-        "--registrar", default=None, metavar="HOST:PORT",
-        help="announce this worker to a fleet registrar on start and "
-        "withdraw on exit, so coordinators discover it (DESIGN.md §J)",
-    )
-    p_wk.add_argument(
-        "--registry-dir", default=None, metavar="DIR",
-        help="announce this worker in a file-based registry directory "
-        "(single-box discovery)",
-    )
-    p_wk.add_argument(
-        "--store-proxy", default=None, metavar="HOST:PORT",
-        help="publish successful results directly to a store proxy server; "
-        "advertised as the store-publish cap, used when the coordinator "
-        "asks (it then stops relaying result bytes)",
-    )
-    p_wk.add_argument(
         "--ping", default=None, metavar="HOST:PORT",
         help="probe a running worker (handshake + ping) and exit: 0 alive, "
         "1 unreachable or incompatible",
@@ -647,51 +559,20 @@ def _setup_execution(args: argparse.Namespace) -> str | None:
     ``--faults``.  Returns an error message instead of raising (main
     turns it into usage exit 2)."""
     set_fault_plan(args.faults)  # before the engine: pool workers inherit it
-    registrar = getattr(args, "registrar", None)
-    registry_dir = getattr(args, "registry_dir", None)
-    discovery = registrar or registry_dir
     engine_name = args.engine or (
-        "remote"
-        if (args.workers or discovery)
-        else "pool" if args.jobs > 1 else "serial"
+        "remote" if args.workers else "pool" if args.jobs > 1 else "serial"
     )
     if engine_name == "remote":
-        if not args.workers and not discovery:
-            return (
-                "--engine remote requires --workers HOST:PORT[,...], "
-                "--registrar HOST:PORT or --registry-dir DIR"
-            )
+        if not args.workers:
+            return "--engine remote requires --workers HOST:PORT[,...]"
         from repro.dist import RemoteEngine
 
-        membership = None
-        if registrar:
-            from repro.fleet import RegistrarClient
-
-            membership = RegistrarClient(registrar)
-        elif registry_dir:
-            from repro.fleet import FileRegistry
-
-            membership = FileRegistry(registry_dir)
-        engine = RemoteEngine(
-            args.workers or (),
-            membership=membership,
-            publish_results=getattr(args, "publish_results", False),
-        )
+        engine = RemoteEngine(args.workers)
     elif engine_name == "pool":
         engine = ProcessPoolEngine(args.jobs)
     else:
         engine = SerialEngine()
-    store = None
-    if args.cache_dir:
-        shards = getattr(args, "store_shards", 1)
-        if shards > 1:
-            from repro.exec.backend import ShardedBackend
-
-            store = ResultStore(
-                args.cache_dir, backend=ShardedBackend.local(args.cache_dir, shards)
-            )
-        else:
-            store = ResultStore(args.cache_dir)
+    store = ResultStore(args.cache_dir) if args.cache_dir else None
     configure(engine=engine, store=store)
     configure_prep(args.prep_dir)
     reset_execution_stats()
@@ -794,9 +675,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "worker":
         return _worker_command(args)
-
-    if args.command == "registrar":
-        return _registrar_command(args)
 
     if args.command == "run-spec":
         return _trace_wrapped(args, lambda: _run_spec_command(args))
@@ -1111,16 +989,8 @@ def _compare_runs_command(args: argparse.Namespace) -> int:
 def _serve_command(args: argparse.Namespace) -> int:
     from repro.serve.runner import ServeSettings, run_server
 
-    fleet_on = args.registrar_port is not None or args.fleet_max > 0
-    if args.engine == "remote" and not args.workers and not fleet_on:
-        print(
-            "serve: --engine remote requires --workers HOST:PORT[,...] "
-            "or --registrar-port PORT",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fleet_min > args.fleet_max > 0 or (args.fleet_max > 0 and args.fleet_min < 0):
-        print("serve: need 0 <= --fleet-min <= --fleet-max", file=sys.stderr)
+    if args.engine == "remote" and not args.workers:
+        print("serve: --engine remote requires --workers HOST:PORT[,...]", file=sys.stderr)
         return 2
     settings = ServeSettings(
         host=args.host,
@@ -1137,14 +1007,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         retain=args.retain,
         port_file=Path(args.port_file) if args.port_file else None,
-        registrar_port=args.registrar_port,
-        registrar_port_file=(
-            Path(args.registrar_port_file) if args.registrar_port_file else None
-        ),
-        fleet_min=args.fleet_min,
-        fleet_max=args.fleet_max,
-        fleet_poll_s=args.fleet_poll,
-        store_shards=args.store_shards,
     )
     try:
         return run_server(settings)
@@ -1179,16 +1041,6 @@ def _worker_command(args: argparse.Namespace) -> int:
         return 0
 
     configure_prep(args.prep_dir)
-    publish_store = None
-    if args.store_proxy:
-        from repro.dist.storeproxy import ProxyBackend
-
-        try:
-            proxy_address = parse_worker_address(args.store_proxy)
-        except ValueError as exc:
-            print(f"worker: {exc}", file=sys.stderr)
-            return 2
-        publish_store = ResultStore("store-proxy", backend=ProxyBackend(proxy_address))
     try:
         server = WorkerServer(
             args.host,
@@ -1196,20 +1048,11 @@ def _worker_command(args: argparse.Namespace) -> int:
             worker_id=args.worker_id,
             exit_on_vanish=True,  # a real worker process dies for real
             install_prep_fetcher=True,
-            publish_store=publish_store,
         )
     except OSError as exc:  # port in use, bad bind address, ...
         print(f"worker: {exc}", file=sys.stderr)
         return 1
     host, port = server.address
-    withdrawals = []
-
-    def _withdraw() -> None:
-        for withdraw in withdrawals:
-            try:
-                withdraw()
-            except Exception:
-                pass  # best effort: liveness sweeps clean up after us
 
     def _stop(signum, frame):
         raise _Interrupted(signum)
@@ -1218,94 +1061,13 @@ def _worker_command(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _stop)
     try:
         print(f"worker: {server.worker_id} listening on {host}:{port}", flush=True)
-        if args.registrar:
-            from repro.fleet import RegistrarClient
-
-            try:
-                client = RegistrarClient(parse_worker_address(args.registrar))
-            except ValueError as exc:
-                print(f"worker: {exc}", file=sys.stderr)
-                server.stop()
-                return 2
-            error = None
-            for _attempt in range(5):  # the registrar may still be binding
-                try:
-                    client.register(
-                        server.address,
-                        worker_id=server.worker_id,
-                        pid=os.getpid(),
-                        caps=server.caps(),
-                    )
-                    error = None
-                    break
-                except OSError as exc:
-                    error = exc
-                    time.sleep(0.5)
-            if error is not None:
-                print(
-                    f"worker: cannot reach registrar {args.registrar}: {error}", file=sys.stderr
-                )
-                server.stop()
-                return 1
-            withdrawals.append(lambda: client.deregister(server.address))
-            print(f"worker: registered with {args.registrar}", flush=True)
-        if args.registry_dir:
-            from repro.fleet import FileRegistry
-
-            registry = FileRegistry(args.registry_dir)
-            registry.announce(
-                server.address,
-                worker_id=server.worker_id,
-                pid=os.getpid(),
-                caps=server.caps(),
-            )
-            withdrawals.append(lambda: registry.withdraw(server.address))
-            print(f"worker: announced in {args.registry_dir}", flush=True)
         write_port_file(args.port_file, port)
         server.serve_forever()
     except (_Interrupted, KeyboardInterrupt) as exc:
         signame = exc.args[0] if isinstance(exc, _Interrupted) else "SIGINT"
-        _withdraw()
         server.stop()
         print(
             f"worker: stopped by {signame} after {server.jobs_run} job(s)",
-            file=sys.stderr,
-        )
-    else:
-        _withdraw()
-    return 0
-
-
-def _registrar_command(args: argparse.Namespace) -> int:
-    """``repro registrar``: standalone worker-discovery endpoint."""
-    from repro.fleet import FleetRegistrar
-    from repro.serve.runner import write_port_file
-
-    try:
-        registrar = FleetRegistrar(
-            args.host, args.port, probe_interval_s=args.probe_interval
-        ).start()
-    except OSError as exc:  # port in use, bad bind address, ...
-        print(f"registrar: {exc}", file=sys.stderr)
-        return 1
-    host, port = registrar.address
-
-    def _stop(signum, frame):
-        raise _Interrupted(signum)
-
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        print(f"registrar: listening on {host}:{port}", flush=True)
-        write_port_file(args.port_file, port)
-        while True:
-            time.sleep(3600)
-    except (_Interrupted, KeyboardInterrupt) as exc:
-        signame = exc.args[0] if isinstance(exc, _Interrupted) else "SIGINT"
-        registrar.stop()
-        print(
-            f"registrar: stopped by {signame} with {len(registrar)} member(s), "
-            f"{registrar.registered} registration(s), {registrar.evicted} eviction(s)",
             file=sys.stderr,
         )
     return 0

@@ -43,7 +43,12 @@ policy consultation, target installation, reconfiguration overhead —
 and re-enters.  Barriers and thread completion are handled in C.
 
 Compiled objects are cached on disk keyed by the SHA-256 of the source,
-so sibling worker processes share one build.  When no compiler is
+so sibling worker processes share one build.  The cache is trusted only
+when neither the directory nor the object is a symlink, both belong to
+the current user, and neither is group- or world-writable; otherwise
+the kernel is built into a fresh private directory, bound, and the
+directory removed — never ``dlopen`` an object someone else could have
+planted.  When no compiler is
 available (or the build fails) :func:`load_kernel` and
 :func:`load_l1_filter` return ``None``: the batch backend falls back to
 the pure-Python fastpath per lane (``batch.fallback_pure``) and the L1
@@ -56,6 +61,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
@@ -313,6 +319,20 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-batchkernel-{os.getuid()}"
 
 
+def _private(path: Path) -> bool:
+    """True when ``path`` is not a symlink, is owned by the current user,
+    and has no group or other write bit — nobody else can swap it."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        not stat.S_ISLNK(st.st_mode)
+        and st.st_uid == os.getuid()
+        and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
+
+
 def _compile(out_path: Path) -> bool:
     """Build the shared object next to ``out_path`` and rename into place.
 
@@ -322,7 +342,6 @@ def _compile(out_path: Path) -> bool:
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return False
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     src = out_path.with_suffix(f".{os.getpid()}.c")
     tmp = out_path.with_suffix(f".{os.getpid()}.so")
     try:
@@ -334,6 +353,7 @@ def _compile(out_path: Path) -> bool:
         )
         if proc.returncode != 0:
             return False
+        os.chmod(tmp, 0o755)  # whatever the umask, a later run must trust it
         os.replace(tmp, out_path)
         return True
     except (OSError, subprocess.SubprocessError):
@@ -378,18 +398,32 @@ def load_kernel():
 
     One build/load attempt per process builds and binds both routines;
     the outcome (including failure) is memoised so a compiler-less host
-    pays the probe exactly once.
+    pays the probe exactly once.  The on-disk cache is read or written
+    only while both it and the object pass :func:`_private`; otherwise
+    the object is built into a throwaway private directory.
     """
     if _LOADED[0]:
         return _LOADED[1]
     _LOADED[0] = True
-    so_path = _cache_dir() / f"batchkernel-{_source_digest()}.so"
+    cache = _cache_dir()
+    so_path = cache / f"batchkernel-{_source_digest()}.so"
+    scratch = None
     try:
-        if not so_path.exists() and not _compile(so_path):
+        try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            pass  # unusable cache: the private-build path below still works
+        if not _private(cache) or (os.path.lexists(so_path) and not _private(so_path)):
+            scratch = Path(tempfile.mkdtemp(prefix="repro-batchkernel-"))
+            so_path = scratch / so_path.name
+        if not os.path.lexists(so_path) and not _compile(so_path):
             return None
         _LOADED[1], _LOADED[2] = _bind(so_path)
     except OSError:
         _LOADED[1] = _LOADED[2] = None
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
     return _LOADED[1]
 
 

@@ -151,23 +151,9 @@ class RemoteEngine(ExecutionEngine):
     ----------
     workers:
         Worker addresses (``"host:port"`` strings or ``(host, port)``
-        pairs).  ``jobs`` — the engine's parallelism as the serve layer's
-        admission control sees it — is the live fleet size.  May be empty
-        when a ``membership`` source is given.
-    membership:
-        Optional discovery source — anything with ``addresses() ->
-        [(host, port), ...]`` (a fleet registrar, a file registry, the
-        engine's own :class:`WorkerRegistry`).  With a membership source
-        the batch loop polls it while the batch runs and *admits late
-        joiners mid-sweep*: each newly advertised address gets its own
-        dispatcher thread against the shared claim/release batch.  A
-        batch started against an empty fleet waits up to ``fleet_wait_s``
-        for the first worker before degrading to serial.
-    publish_results:
-        Ask workers advertising the ``store-publish`` cap to file results
-        in their configured shared store themselves; the outcome frame
-        then carries only the cell summary (no result bytes).  Leave off
-        for paths that need ``JobOutcome.result`` locally (``repro run``).
+        pairs); at least one.  ``jobs`` — the engine's parallelism as the
+        serve layer's admission control sees it — is the number of
+        addresses.
     connect_timeout_s / io_timeout_s:
         Socket budgets for establishing a link and for one frame
         round-trip.  A worker that blows ``io_timeout_s`` mid-job is
@@ -192,10 +178,6 @@ class RemoteEngine(ExecutionEngine):
         job_runner=None,
         connect_timeout_s: float = 10.0,
         io_timeout_s: float | None = 600.0,
-        membership=None,
-        fleet_poll_s: float = 0.25,
-        fleet_wait_s: float = 60.0,
-        publish_results: bool = False,
     ) -> None:
         super().__init__(
             options=options,
@@ -205,42 +187,13 @@ class RemoteEngine(ExecutionEngine):
             backoff_budget_s=backoff_budget_s,
             job_runner=job_runner,
         )
-        self.addresses = [parse_worker_address(w) for w in workers or ()]
-        self.membership = membership
-        if not self.addresses and membership is None:
-            raise ValueError(
-                "RemoteEngine needs at least one worker address or a membership source"
-            )
-        self.fleet_poll_s = fleet_poll_s
-        self.fleet_wait_s = fleet_wait_s
-        self.publish_results = publish_results
+        self.addresses = [parse_worker_address(w) for w in workers]
+        if not self.addresses:
+            raise ValueError("RemoteEngine needs at least one worker address")
+        self.jobs = len(self.addresses)
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
         self.registry = WorkerRegistry()
-        self._backoff_budget_lock = threading.Lock()
-
-    @property
-    def jobs(self) -> int:
-        """Live parallelism estimate for schedulers and admission control:
-        the widest of the static list, the discovered membership, and the
-        currently connected fleet — never below 1."""
-        known = len(self.addresses)
-        if self.membership is not None:
-            try:
-                known = max(known, len(self._membership_addresses()))
-            except Exception:
-                pass
-        return max(known, len(self.registry), 1)
-
-    def _membership_addresses(self) -> list[tuple[str, int]]:
-        """The discovery source's current view, normalised; empty on error
-        (a briefly unreachable registrar must not kill a running batch)."""
-        if self.membership is None:
-            return []
-        try:
-            return [parse_worker_address(a) for a in self.membership.addresses()]
-        except Exception:
-            return []
 
     # -- engine contract -----------------------------------------------
 
@@ -263,26 +216,19 @@ class RemoteEngine(ExecutionEngine):
                         label=spec.label, app=spec.app, policy=spec.policy, engine=self.name
                     )
                 )
-        threads: dict[str, threading.Thread] = {}
-
-        def spawn(address: tuple[str, int]) -> None:
-            key = format_address(address)
-            thread = threading.Thread(
+        threads = [
+            threading.Thread(
                 target=self._dispatch_loop,
                 args=(address, batch, grid_digest, on_outcome),
-                name=f"dispatch-{key}",
+                name=f"dispatch-{format_address(address)}",
                 daemon=True,
             )
-            threads[key] = thread
+            for address in self.addresses
+        ]
+        for thread in threads:
             thread.start()
-
-        for address in self.addresses:
-            spawn(address)
-        if self.membership is None:
-            for thread in threads.values():
-                thread.join()
-        else:
-            self._run_with_admission(batch, threads, spawn)
+        for thread in threads:
+            thread.join()
 
         leftovers = batch.unfinished()
         if leftovers:
@@ -300,43 +246,6 @@ class RemoteEngine(ExecutionEngine):
                     on_outcome(outcome)
         assert all(o is not None for o in batch.outcomes)
         return batch.outcomes  # type: ignore[return-value]
-
-    def _run_with_admission(self, batch: _Batch, threads, spawn) -> None:
-        """Poll the membership source while the batch runs, admitting late
-        joiners mid-sweep.
-
-        Each advertised address gets at most one dispatcher per batch —
-        a relaunched worker announces a fresh port, so respawning against
-        a dead-but-still-advertised address would only livelock.  The
-        batch ends when every outcome is in, or when no dispatcher has
-        been alive for ``fleet_wait_s`` (empty or fully dead fleet) — the
-        caller then degrades the leftovers to serial, loudly.
-        """
-        idle_since: float | None = None
-        while True:
-            for address in self._membership_addresses():
-                if format_address(address) not in threads:
-                    METRICS.counter("dist.workers_admitted").inc()
-                    spawn(address)
-            with batch.lock:
-                done = all(o is not None for o in batch.outcomes)
-            if done:
-                break
-            if any(t.is_alive() for t in threads.values()):
-                idle_since = None
-            else:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif now - idle_since >= self.fleet_wait_s:
-                    if not threads:
-                        batch.last_error = (
-                            f"no workers discovered within {self.fleet_wait_s:.0f}s"
-                        )
-                    break
-            time.sleep(self.fleet_poll_s)
-        for thread in threads.values():
-            thread.join(timeout=5.0)
 
     # -- per-worker dispatcher -----------------------------------------
 
@@ -578,15 +487,15 @@ class RemoteEngine(ExecutionEngine):
             tracer.emit(
                 JobShippedEvent(label=spec.label, worker=link.worker_id, attempt=attempt)
             )
-        frame = {
-            "type": "job",
-            "grid_digest": grid_digest,
-            "attempt": attempt,
-            **codec.encode_spec(spec),
-        }
-        if self.publish_results and "store-publish" in link.caps:
-            frame["publish"] = True
-        send_frame(link.sock, frame)
+        send_frame(
+            link.sock,
+            {
+                "type": "job",
+                "grid_digest": grid_digest,
+                "attempt": attempt,
+                **codec.encode_spec(spec),
+            },
+        )
 
     def _await_outcome(self, link: _Link, spec: JobSpec) -> dict:
         """Read frames until this job's outcome, answering ``prep_fetch``
@@ -678,22 +587,9 @@ class RemoteEngine(ExecutionEngine):
         plan,
     ) -> None:
         spec = batch.specs[idx]
-        if frame.get("published") and frame.get("total_cycles") is not None:
-            # The worker filed the result in the shared store itself; the
-            # frame carries only the summary the journal needs.  The
-            # digest was already matched in _await_outcome.
-            outcome = JobOutcome(
-                spec=spec,
-                published_cycles=frame["total_cycles"],
-                attempts=attempt,
-                duration_s=float(frame.get("duration_s", 0.0)),
-                engine=self.name,
-            )
-            METRICS.counter("dist.results_published").inc()
-        else:
-            outcome = codec.decode_outcome(
-                {**frame, "attempts": attempt, "engine": self.name}, spec
-            )
+        outcome = codec.decode_outcome(
+            {**frame, "attempts": attempt, "engine": self.name}, spec
+        )
         with batch.lock:
             batch.attempts[idx] = attempt
             self._announce_job_faults(plan, spec, attempt)
@@ -766,24 +662,4 @@ class RemoteEngine(ExecutionEngine):
                     on_outcome(outcome)
         batch.release((idx,), requeue=not final)
         if not final:
-            self._threadsafe_backoff(attempt)
-
-    def _threadsafe_backoff(self, failed_rounds: int) -> None:
-        """The base class's jittered/capped/budgeted backoff, with the
-        budget accounting made safe for concurrent dispatchers (the
-        sleep itself happens outside the lock)."""
-        if self.backoff_s <= 0:
-            return
-        import random
-
-        with self._backoff_budget_lock:
-            if self._backoff_left <= 0:
-                return
-            nominal = min(
-                self.backoff_s * (2 ** (failed_rounds - 1)),
-                self.backoff_cap_s,
-                self._backoff_left,
-            )
-            delay = nominal * (0.5 + 0.5 * random.random())
-            self._backoff_left -= delay
-        time.sleep(delay)
+            self._backoff_sleep(attempt)

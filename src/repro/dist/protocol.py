@@ -1,7 +1,7 @@
 """Wire protocol for distributed sweeps: framing, handshake, frame types.
 
-Everything on a dist socket — coordinator↔worker job traffic and the
-store proxy — speaks the same trivially debuggable format: a 4-byte
+Everything on a dist socket — coordinator↔worker job traffic and
+liveness probes — speaks the same trivially debuggable format: a 4-byte
 big-endian length prefix followed by one canonical-JSON object (sorted
 keys, no whitespace).  Canonical encoding matters beyond aesthetics: the
 content-addressed stores hash their payloads, so the bytes that cross
@@ -12,7 +12,7 @@ Every conversation opens with a handshake::
     client → {"type": "hello", "protocol": 1, "version": "<repro>",
               "grid_digest": "<sha256 | null>", "fault_plan": {...}|null}
     server → {"type": "welcome", "protocol": 1, "version": "<repro>",
-              "worker_id": "...", "pid": ...}
+              "worker_id": "...", "pid": ..., "caps": [...]}
            | {"type": "error", "error": "..."}   (and the server closes)
 
 The server refuses mismatched ``protocol`` (incompatible framing/schema)
@@ -24,30 +24,18 @@ frame must carry the same digest, so a frame from a stale coordinator
 (or a coordinator resumed onto a different grid) is refused rather than
 silently executed.
 
-Frame types after the handshake (job links):
+Frame types after the handshake:
 
 * ``job`` — one attempt of one spec; the worker answers with exactly one
   ``outcome`` frame, possibly preceded by ``prep_fetch`` requests that
-  the coordinator answers inline with ``prep_bundle`` frames.  A job
-  frame may carry ``"publish": true``, which the coordinator only sets
-  when the worker advertised the ``store-publish`` cap in its welcome:
-  the worker then writes the result to its configured store and answers
-  with a slim outcome (``"published": true, "total_cycles": N,
-  "result": null``) instead of relaying the result bytes.
-* ``ping``/``pong`` — liveness probe (the registry's heartbeat).
+  the coordinator answers inline with ``prep_bundle`` frames.  The
+  outcome carries the full result; the coordinator files it in its own
+  result store.
+* ``batch`` — one attempt of a multi-lane unit, answered by one
+  ``batch_outcome`` frame (workers advertise the ``batch`` cap).
+* ``ping``/``pong`` — liveness probe (``repro worker --ping``).
 * ``bye`` — orderly end of the batch; the worker drops the connection
   and waits for the next coordinator.
-
-Store-proxy links reuse the same hello/welcome (with ``grid_digest``
-null) and then speak ``store_read``/``store_write``/``store_delete``/
-``store_list``/``store_exists`` request frames, each answered by one
-``store_reply``.
-
-Registrar links (:mod:`repro.fleet.registrar`) also reuse the
-handshake (``grid_digest`` null; the welcome advertises the
-``registrar`` cap) followed by ``register``/``deregister``/``members``
-request frames — workers announce themselves, coordinators poll the
-membership view to admit late joiners mid-sweep.
 """
 
 from __future__ import annotations

@@ -103,38 +103,6 @@ class WorkerRegistry:
             )
         return True
 
-    def connected(self) -> dict[str, dict]:
-        with self._lock:
-            return {addr: dict(info) for addr, info in self._connected.items()}
-
-    def addresses(self) -> list[tuple[str, int]]:
-        """Current members as ``(host, port)`` pairs (a membership view)."""
-        with self._lock:
-            keys = list(self._connected)
-        return [parse_worker_address(addr) for addr in keys]
-
-    def sweep(self, *, timeout_s: float = 2.0) -> list[str]:
-        """Liveness sweep: ping every member, drop the unreachable.
-
-        Returns the addresses that were evicted.  Incompatible-but-alive
-        workers (``HandshakeError``) are left alone — they answered, so
-        the link owner gets to decide what to do with them.
-        """
-        evicted: list[str] = []
-        for address in self.addresses():
-            try:
-                ping_worker(address, timeout_s=timeout_s)
-            except HandshakeError:
-                continue
-            except OSError as exc:
-                if self.note_lost(address, f"liveness probe failed: {exc}"):
-                    evicted.append(format_address(address))
-        return evicted
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._connected)
-
 
 def ping_worker(address: tuple[str, int], *, timeout_s: float = 5.0) -> dict:
     """Handshake + one ping round-trip; returns the worker's welcome info.

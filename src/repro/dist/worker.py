@@ -69,15 +69,6 @@ class WorkerServer:
         coordinator as a ``prep_fetch`` request.  Off by default:
         in-process test workers share the coordinator's prep store, and
         installing a fetcher would mutate that shared store.
-    publish_store:
-        Optional :class:`~repro.exec.store.ResultStore` (typically over a
-        :class:`~repro.dist.storeproxy.ProxyBackend`) the worker files
-        successful results into itself.  Advertised as the
-        ``store-publish`` cap; when a job frame then asks ``publish``,
-        the outcome travels back as a slim summary instead of result
-        bytes.  If the publish store is unreachable the worker falls
-        back to relaying the full result — correctness never depends on
-        the side channel.
     """
 
     def __init__(
@@ -89,12 +80,10 @@ class WorkerServer:
         job_runner=None,
         exit_on_vanish: bool = False,
         install_prep_fetcher: bool = False,
-        publish_store=None,
     ) -> None:
         self.job_runner = job_runner or execute_job
         self.exit_on_vanish = exit_on_vanish
         self.install_prep_fetcher = install_prep_fetcher
-        self.publish_store = publish_store
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()[:2]
         self.worker_id = worker_id or f"{self.address[0]}-{os.getpid()}"
@@ -113,11 +102,6 @@ class WorkerServer:
         )
         self._accept_thread.start()
         return self
-
-    @property
-    def running(self) -> bool:
-        """False once :meth:`stop` (or an emulated vanish) fired."""
-        return not self._stop.is_set()
 
     def serve_forever(self) -> None:
         """Accept coordinators until :meth:`stop` (or a vanish) closes the
@@ -205,7 +189,9 @@ class WorkerServer:
                 "version": hello["version"],
                 "worker_id": self.worker_id,
                 "pid": os.getpid(),
-                "caps": self.caps(),
+                # Batched execution needs the real simulation; a worker
+                # with an injected runner keeps the per-job contract.
+                "caps": ["batch"] if self.job_runner is execute_job else [],
             },
         )
         while True:
@@ -237,19 +223,6 @@ class WorkerServer:
                 self._run_batch(conn, frame)
             else:
                 self._run_job(conn, frame)
-
-    def caps(self) -> list[str]:
-        """Capability strings for the welcome frame (and registration).
-
-        Batched execution needs the real simulation; a worker with an
-        injected runner keeps the per-job contract.
-        """
-        caps = []
-        if self.job_runner is execute_job:
-            caps.append("batch")
-        if self.publish_store is not None:
-            caps.append("store-publish")
-        return caps
 
     def _vanish(self) -> None:
         """Execute an injected ``worker-vanish``.
@@ -297,17 +270,6 @@ class WorkerServer:
                     "error": None,
                     "duration_s": time.perf_counter() - start,
                 }
-                if frame.get("publish") and self.publish_store is not None:
-                    try:
-                        self.publish_store.put(spec, result)
-                    except OSError:
-                        # Publish channel down: relay the bytes instead.
-                        METRICS.counter("dist.worker.publish_failed").inc()
-                    else:
-                        payload["result"] = None
-                        payload["published"] = True
-                        payload["total_cycles"] = result.total_cycles
-                        METRICS.counter("dist.worker.published").inc()
         finally:
             if fetcher_installed:
                 self._remove_fetcher()

@@ -10,16 +10,15 @@ that makes those replays cheap:
   (in-process), :class:`ProcessPoolEngine` (multiprocessing fan-out
   with chunked submission, per-job timeouts, bounded retry with backoff
   and graceful degradation to serial when a pool worker dies) or
-  :class:`~repro.dist.engine.RemoteEngine` (TCP worker fleet; lives in
-  :mod:`repro.dist`).  All three share one :class:`EngineOptions`
-  retry/backoff configuration.
+  :class:`~repro.dist.engine.RemoteEngine` (a static list of TCP
+  workers; lives in :mod:`repro.dist`).  All three share one
+  :class:`EngineOptions` retry/backoff configuration.
 * :class:`ResultStore` — a content-addressed cache of
   :class:`~repro.core.records.RunResult` that persists across harness
   invocations (key = SHA-256 of the job's canonical JSON, atomic
   write-then-rename, invalidated by ``repro.__version__``), persisted
   through a pluggable :class:`StoreBackend` (:class:`LocalDirBackend`
-  on disk, :class:`MemoryBackend` in tests,
-  :class:`~repro.dist.storeproxy.ProxyBackend` over the wire).
+  on disk, :class:`MemoryBackend` in tests).
 * :func:`run_sweep` — fan a grid of apps × policies × seeds ×
   thread-counts out over an engine and aggregate speedups.
 * :class:`SweepJournal` — append-only, fsynced record of completed sweep

@@ -1,12 +1,10 @@
 """Pluggable blob backends for the content-addressed stores.
 
 :class:`~repro.exec.store.ResultStore` historically *was* a directory
-layout; distributing sweeps across machines means a worker's store writes
-must be able to travel over a socket instead of a shared filesystem path.
-This module is the seam: a :class:`StoreBackend` maps **relative POSIX
-path keys** (``v<version>/<digest[:2]>/<digest>.json``) to opaque byte
-blobs, and the store logic above it (keying, payload validation,
-corruption eviction, metrics) is backend-agnostic.
+layout.  This module is the seam under it: a :class:`StoreBackend` maps
+**relative POSIX path keys** (``v<version>/<digest[:2]>/<digest>.json``)
+to opaque byte blobs, and the store logic above it (keying, payload
+validation, corruption eviction, metrics) is backend-agnostic.
 
 Backends shipped here:
 
@@ -14,15 +12,9 @@ Backends shipped here:
   atomic publish via a ``.put-*.tmp`` staging file + ``os.replace``,
   restage when a concurrent ``clear()`` removes the shard directory
   mid-publish, stale-staging sweep by mtime.
-* :class:`MemoryBackend` — a thread-safe dict; the unit-test double and
-  the in-process half of the distributed store proxy.
-* :class:`ShardedBackend` — N child backends keyed by a stable hash of
-  the store key, so result traffic (and directory fan-out) spreads
-  across shards while the store logic above stays single-backend.
+* :class:`MemoryBackend` — a thread-safe dict; the unit-test double.
 
-The client/server-proxied backend lives in :mod:`repro.dist.storeproxy`
-(it needs the wire protocol); an object-store backend slots in later
-behind the same five methods.
+An object-store backend slots in later behind the same five methods.
 
 Contract notes:
 
@@ -42,19 +34,17 @@ import os
 import tempfile
 import threading
 import time
-import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path, PurePosixPath
 
-__all__ = ["LocalDirBackend", "MemoryBackend", "ShardedBackend", "StoreBackend"]
+__all__ = ["LocalDirBackend", "MemoryBackend", "StoreBackend"]
 
 
 def _check_key(key: str) -> str:
     """Reject keys that could escape a backend's namespace.
 
-    Keys come from digests today, but the proxied backend accepts them
-    off a socket — a traversal like ``../../etc/cron.d/x`` must die at
-    the boundary, not in a path join.
+    Keys come from digests today, but a traversal like
+    ``../../etc/cron.d/x`` must die at the boundary, not in a path join.
     """
     pure = PurePosixPath(key)
     if pure.is_absolute() or not key or any(part in ("..", "") for part in pure.parts):
@@ -183,8 +173,7 @@ class LocalDirBackend(StoreBackend):
 
 
 class MemoryBackend(StoreBackend):
-    """Thread-safe in-memory blobs — the test double, and what a worker's
-    store proxy drains into before shipping results home."""
+    """Thread-safe in-memory blobs — the test double."""
 
     name = "memory"
 
@@ -213,58 +202,3 @@ class MemoryBackend(StoreBackend):
         with self._lock:
             return sorted(k for k in self._blobs if k.startswith(head))
 
-
-class ShardedBackend(StoreBackend):
-    """Partition one keyspace over N child backends by a stable key hash.
-
-    Keys embed the result digest, so hashing the whole key spreads cells
-    evenly and deterministically: the same key always lands on the same
-    shard, across processes and runs (CRC-32 is stable; ``hash()`` is
-    not).  Point ops route to one shard; ``list`` is a sorted merge over
-    all of them so the store's iteration order is indistinguishable from
-    a single backend's.
-
-    The intended deployment is one :class:`LocalDirBackend` per spindle
-    or one proxied backend per store server — either way the coordinator
-    stops being the single durability funnel for every result byte.
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards) -> None:
-        self.shards = list(shards)
-        if not self.shards:
-            raise ValueError("ShardedBackend needs at least one shard")
-
-    @classmethod
-    def local(cls, root: str | Path, n: int) -> "ShardedBackend":
-        """N ``LocalDirBackend`` shards under ``root/shard-NN``."""
-        if n < 1:
-            raise ValueError("shard count must be >= 1")
-        root = Path(root)
-        return cls(LocalDirBackend(root / f"shard-{i:02d}") for i in range(n))
-
-    def shard_for(self, key: str) -> StoreBackend:
-        index = zlib.crc32(_check_key(key).encode("utf-8")) % len(self.shards)
-        return self.shards[index]
-
-    def read(self, key: str) -> bytes | None:
-        return self.shard_for(key).read(key)
-
-    def write(self, key: str, data: bytes) -> None:
-        self.shard_for(key).write(key, data)
-
-    def delete(self, key: str) -> bool:
-        return self.shard_for(key).delete(key)
-
-    def exists(self, key: str) -> bool:
-        return self.shard_for(key).exists(key)
-
-    def list(self, prefix: str = "") -> list[str]:
-        merged: list[str] = []
-        for shard in self.shards:
-            merged.extend(shard.list(prefix))
-        return sorted(merged)
-
-    def sweep_stale(self, prefix: str, ttl_s: float) -> int:
-        return sum(shard.sweep_stale(prefix, ttl_s) for shard in self.shards)

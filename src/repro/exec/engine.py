@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
@@ -136,6 +137,7 @@ class ExecutionEngine(ABC):
         self.options = opts
         self.job_runner = job_runner or execute_job
         self._backoff_left = opts.backoff_budget_s
+        self._backoff_lock = threading.Lock()
         # Every degradation to serial, in order — surfaced by the CLI's
         # -v line and asserted on by tests; never reset implicitly.
         self.degraded_reasons: list[str] = []
@@ -201,15 +203,20 @@ class ExecutionEngine(ABC):
         [0.5, 1.0] — so one flaky job can delay a sweep by at most the
         budget, and never serialises concurrent retriers on a beat.
         """
-        if self.backoff_s <= 0 or self._backoff_left <= 0:
+        if self.backoff_s <= 0:
             return 0.0
-        nominal = min(
-            self.backoff_s * (2 ** (failed_rounds - 1)),
-            self.backoff_cap_s,
-            self._backoff_left,
-        )
-        delay = nominal * (0.5 + 0.5 * random.random())
-        self._backoff_left -= delay
+        # The remote engine's dispatcher threads share one budget; the
+        # lock covers the accounting, never the sleep.
+        with self._backoff_lock:
+            if self._backoff_left <= 0:
+                return 0.0
+            nominal = min(
+                self.backoff_s * (2 ** (failed_rounds - 1)),
+                self.backoff_cap_s,
+                self._backoff_left,
+            )
+            delay = nominal * (0.5 + 0.5 * random.random())
+            self._backoff_left -= delay
         time.sleep(delay)
         return delay
 

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKEND_NAMES, SystemConfig
 
 __all__ = ["DEFAULT_POLICIES", "GridError", "POLICY_ALIASES", "SweepGrid"]
 
@@ -39,9 +39,6 @@ DEFAULT_POLICIES = ("shared", "static-equal", "throughput", "model-based")
 # Short spellings accepted anywhere a policy name is; shared by the CLI's
 # argparse hook and the spec schema so both entry points normalise alike.
 POLICY_ALIASES = {"model": "model-based", "cpi": "cpi-proportional", "equal": "static-equal"}
-
-CACHE_BACKENDS = ("fast", "reference", "batch")
-
 
 class GridError(ValueError):
     """A grid that cannot be built; ``path`` names the offending field
@@ -156,10 +153,10 @@ class SweepGrid:
         ):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise GridError(f"{path}.{name}", f"expected int >= 1, got {value!r}")
-        if cache_backend not in CACHE_BACKENDS:
+        if cache_backend not in CACHE_BACKEND_NAMES:
             raise GridError(
                 f"{path}.cache_backend",
-                f"expected one of {', '.join(CACHE_BACKENDS)}, got {cache_backend!r}",
+                f"expected one of {', '.join(CACHE_BACKEND_NAMES)}, got {cache_backend!r}",
             )
         return cls(
             apps=apps,

@@ -64,10 +64,7 @@ class JobSpec:
 class JobOutcome:
     """Result of attempting one :class:`JobSpec` on an engine.
 
-    Exactly one of ``result`` / ``error`` is set — unless the worker
-    *published* the result to a shared store itself, in which case
-    ``result`` is None and ``published_cycles`` carries the one number the
-    sweep journal needs.  ``attempts`` counts every
+    Exactly one of ``result`` / ``error`` is set.  ``attempts`` counts every
     try including the successful one; ``duration_s`` is the wall-clock time
     of the successful attempt (0.0 on failure).  ``engine`` names the engine
     that produced the outcome — a pool engine that degraded to serial
@@ -80,24 +77,7 @@ class JobOutcome:
     attempts: int = 1
     duration_s: float = 0.0
     engine: str = ""
-    published_cycles: float | None = None
 
     @property
     def ok(self) -> bool:
-        return self.error is None and (
-            self.result is not None or self.published_cycles is not None
-        )
-
-    @property
-    def published(self) -> bool:
-        """True when the worker filed the result itself (store-publish cap)
-        and only the per-cell summary travelled back to the coordinator."""
-        return self.result is None and self.published_cycles is not None
-
-    @property
-    def total_cycles(self) -> float | None:
-        """The per-cell summary every aggregate is built from — present for
-        both relayed and published outcomes, ``None`` on failure."""
-        if self.result is not None:
-            return self.result.total_cycles
-        return self.published_cycles
+        return self.error is None and self.result is not None

@@ -357,12 +357,9 @@ def run_sweep(
             nonlocal simulated
             spec = outcome.spec
             if outcome.ok:
-                # Published outcomes carry no result bytes — the worker
-                # already filed them in the shared store; only the cell
-                # summary needs journalling here.
-                if store is not None and outcome.result is not None:
+                if store is not None:
                     store.put(spec, outcome.result)
-                cell = _cell(spec, total_cycles=outcome.total_cycles, source="run")
+                cell = _cell(spec, total_cycles=outcome.result.total_cycles, source="run")
                 simulated += 1
             else:
                 cell = _cell(spec, total_cycles=None, source="run", error=outcome.error)

@@ -134,22 +134,11 @@ def get_results(
                     f"simulation of {spec.label} failed after "
                     f"{outcome.attempts} attempt(s): {outcome.error}"
                 )
-            result = outcome.result
-            if result is None:
-                # The worker published the result to the shared store
-                # instead of relaying it; read it back from there.
-                result = _STORE.get(spec) if _STORE is not None else None
-                if result is None:
-                    raise RuntimeError(
-                        f"{spec.label}: worker published the result but it is "
-                        "not readable locally — point --cache-dir at the "
-                        "store the fleet publishes to, or drop --publish-results"
-                    )
             _STATS["simulated"] += 1
-            if _STORE is not None and outcome.result is not None:
+            if _STORE is not None:
                 _STORE.put(spec, outcome.result)
-            _MEMO[(spec.app, spec.policy, config)] = result
-            results[(spec.app, spec.policy)] = result
+            _MEMO[(spec.app, spec.policy, config)] = outcome.result
+            results[(spec.app, spec.policy)] = outcome.result
     return results
 
 

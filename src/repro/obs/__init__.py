@@ -25,7 +25,6 @@ from repro.obs.events import (
     ConvergenceEvent,
     EngineDegradedEvent,
     FaultInjectedEvent,
-    FleetScaleEvent,
     IntervalEvent,
     InterruptEvent,
     JobEndEvent,
@@ -39,8 +38,6 @@ from repro.obs.events import (
     StoreMissEvent,
     SweepRejectedEvent,
     SweepSubmittedEvent,
-    WorkerEvictedEvent,
-    WorkerRegisteredEvent,
 )
 from repro.obs.export import chrome_trace, read_events, summarize, write_chrome_trace
 from repro.obs.metrics import METRICS, Counter, Gauge, Metrics, Timer
@@ -60,7 +57,6 @@ __all__ = [
     "EVENT_KINDS",
     "EngineDegradedEvent",
     "FaultInjectedEvent",
-    "FleetScaleEvent",
     "Gauge",
     "IntervalEvent",
     "InterruptEvent",
@@ -83,8 +79,6 @@ __all__ = [
     "SweepSubmittedEvent",
     "Timer",
     "Tracer",
-    "WorkerEvictedEvent",
-    "WorkerRegisteredEvent",
     "chrome_trace",
     "get_tracer",
     "read_events",

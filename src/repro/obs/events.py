@@ -28,10 +28,7 @@ Two event families exist (DESIGN.md §B):
   ``sweep_submitted`` (admitted or attached submissions, with the
   resolution split: resumed/store/coalesced/scheduled),
   ``sweep_rejected`` (admission-control backpressure) and
-  ``serve_drain`` (a signal began the graceful shutdown);
-* **fleet events**, emitted by ``repro.fleet`` —
-  ``worker_registered``/``worker_evicted`` from the registrar's
-  membership view and ``fleet_scale`` from the autoscaling controller.
+  ``serve_drain`` (a signal began the graceful shutdown).
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ __all__ = [
     "EVENT_KINDS",
     "EngineDegradedEvent",
     "FaultInjectedEvent",
-    "FleetScaleEvent",
     "IntervalEvent",
     "InterruptEvent",
     "JobEndEvent",
@@ -59,10 +55,8 @@ __all__ = [
     "StoreMissEvent",
     "SweepRejectedEvent",
     "SweepSubmittedEvent",
-    "WorkerEvictedEvent",
     "WorkerJoinEvent",
     "WorkerLostEvent",
-    "WorkerRegisteredEvent",
 ]
 
 
@@ -297,44 +291,6 @@ class WorkerLostEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class WorkerRegisteredEvent(TraceEvent):
-    """A worker announced itself to a registrar (or file registry) and
-    entered the discoverable membership view."""
-
-    kind: ClassVar[str] = "worker_registered"
-
-    worker: str
-    address: str
-    pid: int
-
-
-@dataclass(frozen=True)
-class WorkerEvictedEvent(TraceEvent):
-    """The registrar's liveness sweep (or an explicit deregistration)
-    removed a worker from the membership view."""
-
-    kind: ClassVar[str] = "worker_evicted"
-
-    worker: str
-    address: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class FleetScaleEvent(TraceEvent):
-    """The autoscaling controller changed the fleet size: ``direction`` is
-    ``"up"`` or ``"down"``, ``backlog`` the queue depth that drove it."""
-
-    kind: ClassVar[str] = "fleet_scale"
-
-    direction: str
-    workers_before: int
-    workers_after: int
-    backlog: int
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class JobShippedEvent(TraceEvent):
     """One job attempt was dispatched over the wire to a worker."""
 
@@ -385,9 +341,6 @@ EVENT_KINDS: dict[str, type[TraceEvent]] = {
         ServeDrainEvent,
         WorkerJoinEvent,
         WorkerLostEvent,
-        WorkerRegisteredEvent,
-        WorkerEvictedEvent,
-        FleetScaleEvent,
         JobShippedEvent,
         SpanEvent,
         MetricsEvent,

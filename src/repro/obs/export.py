@@ -120,7 +120,6 @@ def chrome_trace(records: list[dict]) -> list[dict]:
             "engine_degraded", "fault_injected", "interrupt",
             "sweep_submitted", "sweep_rejected", "serve_drain",
             "worker_join", "worker_lost", "job_shipped",
-            "worker_registered", "worker_evicted", "fleet_scale",
         ):
             args = {k: v for k, v in rec.items() if k not in ("kind", "ts")}
             out.append({
@@ -256,26 +255,6 @@ def summarize(records: list[dict], *, top: int = 5) -> str:
                 f"  LOST {r['worker']} at {r['address']}: {r['reason']} "
                 f"({r.get('requeued', 0)} job(s) requeued)"
             )
-
-    registered = [r for r in records if r["kind"] == "worker_registered"]
-    evicted = [r for r in records if r["kind"] == "worker_evicted"]
-    scales = [r for r in records if r["kind"] == "fleet_scale"]
-    if registered or evicted or scales:
-        ups = sum(1 for r in scales if r.get("direction") == "up")
-        downs = len(scales) - ups
-        lines.append("")
-        lines.append(
-            f"fleet: {len(registered)} registration(s), {len(evicted)} eviction(s), "
-            f"{ups} scale-up(s), {downs} scale-down(s), "
-            f"{len(joins)} join(s), {len(losses)} loss(es)"
-        )
-        for r in scales:
-            lines.append(
-                f"  scale {r['direction']:<4} {r['workers_before']} -> "
-                f"{r['workers_after']} (backlog {r['backlog']})"
-            )
-        for r in evicted:
-            lines.append(f"  EVICTED {r['worker']} at {r['address']}: {r['reason']}")
 
     degraded = [r for r in records if r["kind"] == "engine_degraded"]
     if degraded:

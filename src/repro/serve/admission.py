@@ -24,7 +24,6 @@ A rejection carries a ``retry_after_s`` estimate derived from the live
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.obs.metrics import METRICS
 
@@ -58,30 +57,15 @@ class AdmissionController:
         max_pending_cells: int = 512,
         max_active_sweeps: int = 64,
         max_sweeps_per_client: int = 8,
-        workers: int | Callable[[], int] = 1,
+        workers: int = 1,
     ) -> None:
-        if min(max_pending_cells, max_active_sweeps, max_sweeps_per_client) < 1:
-            raise ValueError("admission limits must all be >= 1")
-        if not callable(workers) and workers < 1:
+        if min(max_pending_cells, max_active_sweeps, max_sweeps_per_client, workers) < 1:
             raise ValueError("admission limits must all be >= 1")
         self.max_pending_cells = max_pending_cells
         self.max_active_sweeps = max_active_sweeps
         self.max_sweeps_per_client = max_sweeps_per_client
-        self._workers = workers
+        self.workers = workers
         self._active_by_client: dict[str, int] = {}
-
-    @property
-    def workers(self) -> int:
-        """The divisor for ``retry_after_s``: a live count when a callable
-        was wired (the fleet grows and shrinks under us), else the static
-        construction-time int.  Never below 1 — an empty fleet should
-        inflate the estimate, not divide by zero."""
-        if callable(self._workers):
-            try:
-                return max(int(self._workers()), 1)
-            except Exception:
-                return 1
-        return self._workers
 
     # -- accounting ------------------------------------------------------
 

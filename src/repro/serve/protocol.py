@@ -28,7 +28,7 @@ from repro.exec.grid import SweepGrid
 from repro.exec.jobs import JobSpec
 from repro.exec.sweep import SweepCell
 from repro.partition import POLICY_REGISTRY
-from repro.sim.config import SystemConfig
+from repro.sim.config import CACHE_BACKEND_NAMES, SystemConfig
 from repro.trace.workloads import list_workloads
 
 __all__ = ["RequestError", "SweepRequest", "cell_event", "status_event"]
@@ -122,8 +122,11 @@ class SweepRequest:
                 f"baseline {baseline!r} is not among the swept policies: {', '.join(policies)}"
             )
         backend = payload.get("cache_backend", "fast")
-        if backend not in ("fast", "reference"):
-            raise RequestError("'cache_backend' must be 'fast' or 'reference'")
+        if backend not in CACHE_BACKEND_NAMES:
+            raise RequestError(
+                f"'cache_backend' must be one of {', '.join(CACHE_BACKEND_NAMES)}, "
+                f"got {backend!r}"
+            )
         client = payload.get("client", "anonymous")
         if not isinstance(client, str) or not client:
             raise RequestError("'client' must be a non-empty string")

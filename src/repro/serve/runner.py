@@ -45,7 +45,7 @@ _SIGNALS = ("SIGINT", "SIGTERM")
 
 def write_port_file(path: str | Path | None, port: int) -> None:
     """Publish a bound port to ``path`` (no-op for None), the readiness
-    signal of ``repro serve``, ``repro worker`` and ``repro registrar``.
+    signal of ``repro serve`` and ``repro worker``.
 
     A supervisor may send SIGTERM the moment the file appears, so callers
     install their signal handlers *before* calling this.  The write is
@@ -78,76 +78,41 @@ class ServeSettings:
     batch_size: int | None = None
     retain: int = 64
     port_file: Path | None = None
-    registrar_port: int | None = None  # host a FleetRegistrar on this port
-    registrar_port_file: Path | None = None
-    fleet_min: int = 0
-    fleet_max: int = 0  # > 0 enables the autoscaling controller
-    fleet_poll_s: float = 1.0
-    store_shards: int = 1
-    fleet_launcher: object | None = None  # test seam; default SubprocessLauncher
 
     def resolved_cache_dir(self) -> Path:
         return Path(self.cache_dir) if self.cache_dir else Path(self.data_dir) / "store"
 
-    @property
-    def fleet_enabled(self) -> bool:
-        return self.registrar_port is not None or self.fleet_max > 0
 
-
-def _build_engine(settings: ServeSettings, registrar=None):
+def _build_engine(settings: ServeSettings):
     """Engine selection, mirroring the batch CLI: an explicit ``engine``
-    wins, otherwise ``workers`` (or a hosted registrar) implies remote
-    and ``jobs > 1`` a pool."""
+    wins, otherwise ``workers`` implies remote and ``jobs > 1`` a pool."""
     name = settings.engine or (
-        "remote"
-        if (settings.workers or registrar is not None)
-        else "pool" if settings.jobs > 1 else "serial"
+        "remote" if settings.workers else "pool" if settings.jobs > 1 else "serial"
     )
     if name == "remote":
-        if not settings.workers and registrar is None:
+        if not settings.workers:
             raise ValueError("engine 'remote' requires worker addresses")
         from repro.dist import RemoteEngine
 
-        return RemoteEngine(settings.workers or (), membership=registrar)
+        return RemoteEngine(settings.workers)
     if name == "pool":
         return ProcessPoolEngine(settings.jobs)
     return SerialEngine()
 
 
 def build_service(settings: ServeSettings) -> SweepService:
-    """Assemble the engine/store/admission stack behind one service.
-
-    With fleet settings this also hosts the registrar (the engine's
-    membership source, in-process) and constructs — but does not start —
-    the autoscaling controller; :func:`serve_forever` owns both
-    lifecycles, and :meth:`SweepService.stats` surfaces both.
-    """
-    registrar = None
-    if settings.fleet_enabled:
-        from repro.fleet import FleetRegistrar
-
-        registrar = FleetRegistrar(
-            settings.host, settings.registrar_port or 0
-        ).start()
-    engine = _build_engine(settings, registrar)
-    backend = None
-    if settings.store_shards > 1:
-        from repro.exec.backend import ShardedBackend
-
-        backend = ShardedBackend.local(settings.resolved_cache_dir(), settings.store_shards)
-    store = ResultStore(settings.resolved_cache_dir(), backend=backend)
+    """Assemble the engine/store/admission stack behind one service."""
+    engine = _build_engine(settings)
+    store = ResultStore(settings.resolved_cache_dir())
     if settings.prep_dir is not None:
         configure_prep(settings.prep_dir)
-    # A callable keeps Retry-After honest while the fleet autoscales;
-    # getattr freshness matters because RemoteEngine.jobs is live.
-    live_workers = lambda: max(getattr(engine, "jobs", 1), 1)  # noqa: E731
     admission = AdmissionController(
         max_pending_cells=settings.max_pending_cells,
         max_active_sweeps=settings.max_active_sweeps,
         max_sweeps_per_client=settings.max_sweeps_per_client,
-        workers=live_workers,
+        workers=max(getattr(engine, "jobs", 1), 1),
     )
-    service = SweepService(
+    return SweepService(
         engine=engine,
         store=store,
         data_dir=settings.data_dir,
@@ -155,22 +120,6 @@ def build_service(settings: ServeSettings) -> SweepService:
         batch_size=settings.batch_size,
         retain=settings.retain,
     )
-    service.registrar = registrar
-    if settings.fleet_max > 0:
-        from repro.fleet import FleetController, SubprocessLauncher
-
-        launcher = settings.fleet_launcher
-        if launcher is None:
-            launcher = SubprocessLauncher(
-                registrar=registrar.address, prep_dir=settings.prep_dir
-            )
-        service.fleet = FleetController(
-            launcher,
-            min_workers=settings.fleet_min,
-            max_workers=settings.fleet_max,
-            poll_s=settings.fleet_poll_s,
-        )
-    return service
 
 
 async def serve_forever(
@@ -211,17 +160,6 @@ async def serve_forever(
             pass  # non-main thread (start_in_thread): tests use `stop`
     try:
         print(f"serve: listening on http://{settings.host}:{bound_port}", flush=True)
-        if service.registrar is not None:
-            reg_port = service.registrar.address[1]
-            write_port_file(settings.registrar_port_file, reg_port)
-            print(f"serve: registrar on {settings.host}:{reg_port}", flush=True)
-        if service.fleet is not None:
-            service.fleet.start()
-            print(
-                f"serve: autoscaling fleet [{service.fleet.min_workers}, "
-                f"{service.fleet.max_workers}]",
-                flush=True,
-            )
         write_port_file(settings.port_file, bound_port)
         if ready is not None:
             ready.set()
@@ -230,13 +168,7 @@ async def serve_forever(
         print(f"serve: draining ({signame})", flush=True)
         server.close()
         await server.wait_closed()
-        # Drain before stopping the fleet: in-flight batches may still
-        # need the workers.  The engine tolerates losses either way.
         await service.drain(signame)
-        if service.fleet is not None:
-            await asyncio.get_running_loop().run_in_executor(None, service.fleet.stop)
-        if service.registrar is not None:
-            service.registrar.stop()
         METRICS.counter("serve.clean_exits").inc()
         print("serve: drained cleanly", flush=True)
     finally:

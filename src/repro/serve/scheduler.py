@@ -130,7 +130,7 @@ class EngineScheduler:
             # durability, same as run_sweep), then hand the outcome to
             # the loop so sweeps can journal/stream it while the rest of
             # the batch is still running.
-            if outcome.ok and self.store is not None and outcome.result is not None:
+            if outcome.ok and self.store is not None:
                 self.store.put(outcome.spec, outcome.result)
             loop.call_soon_threadsafe(self._deliver, futures[outcome.spec.digest], outcome)
 

@@ -253,7 +253,7 @@ class SweepTask:
             return  # drain sentinel: cell never ran; journal holds the rest
         if outcome.ok:
             cell = self._cell(
-                spec, total_cycles=outcome.total_cycles, source="run"
+                spec, total_cycles=outcome.result.total_cycles, source="run"
             )
             self.executed += 1
         else:
@@ -334,18 +334,13 @@ class SweepService:
         self.scheduler = EngineScheduler(engine, store, batch_size=batch_size)
         self.coalescer = CellCoalescer(self.scheduler)
         self.admission = admission or AdmissionController(
-            workers=lambda: max(getattr(engine, "jobs", 1), 1)
+            workers=max(getattr(engine, "jobs", 1), 1)
         )
         self.retain = retain
         self._sweeps: "OrderedDict[str, SweepTask]" = OrderedDict()
         self.draining = False
         self._drained = asyncio.Event()
         self._started_at = time.time()
-        # Fleet plumbing, attached by the runner when fleet settings are
-        # on: the hosted registrar (the engine's membership source) and
-        # the autoscaling controller.
-        self.registrar = None
-        self.fleet = None
 
     def start(self) -> None:
         """Start the scheduler; call once from inside the event loop."""
@@ -492,17 +487,6 @@ class SweepService:
             "engine": self.scheduler.engine.name,
             "counters": serve,
             "store": self.store.stats() if self.store is not None else None,
-            "registrar": (
-                None
-                if self.registrar is None
-                else {
-                    "address": list(self.registrar.address),
-                    "workers": self.registrar.members(),
-                    "registered": self.registrar.registered,
-                    "evicted": self.registrar.evicted,
-                }
-            ),
-            "fleet": None if self.fleet is None else self.fleet.describe(),
         }
 
     # -- lifecycle ------------------------------------------------------

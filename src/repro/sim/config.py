@@ -28,7 +28,11 @@ from dataclasses import dataclass, field, replace
 from repro.cache.geometry import CacheGeometry
 from repro.cpu.timing import TimingModel
 
-__all__ = ["SystemConfig"]
+__all__ = ["CACHE_BACKEND_NAMES", "SystemConfig"]
+
+#: Every accepted ``SystemConfig.cache_backend`` — the CLI, the spec
+#: schema, the grid builder and the service validate against this tuple.
+CACHE_BACKEND_NAMES = ("fast", "reference", "batch")
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,8 @@ class SystemConfig:
     min_ways: int = 1
     seed: int = 1
     # Shared-L2 implementation: "fast" (struct-of-arrays + fused replay
-    # kernel) or "reference" (the readable per-set implementation).  Both
+    # kernel), "reference" (the readable per-set implementation) or
+    # "batch" (cells sharing a prepared program replay in one pass).  All
     # are byte-identical in output (tests/test_cache_differential.py), so
     # this selects speed, never semantics.
     cache_backend: str = "fast"
@@ -63,9 +68,9 @@ class SystemConfig:
             raise ValueError("sections_per_interval must be >= 1")
         if self.min_ways < 0:
             raise ValueError("min_ways must be >= 0")
-        if self.cache_backend not in ("reference", "fast", "batch"):
+        if self.cache_backend not in CACHE_BACKEND_NAMES:
             raise ValueError(
-                "cache_backend must be 'reference', 'fast' or 'batch', "
+                f"cache_backend must be one of {', '.join(CACHE_BACKEND_NAMES)}, "
                 f"got {self.cache_backend!r}"
             )
 

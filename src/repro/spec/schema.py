@@ -52,6 +52,7 @@ from pathlib import Path
 from repro.exec.engine import EngineOptions, ExecutionEngine, SerialEngine
 from repro.exec.faults import FaultPlan
 from repro.exec.grid import POLICY_ALIASES, GridError, SweepGrid
+from repro.sim.config import CACHE_BACKEND_NAMES
 
 __all__ = [
     "EngineSpec",
@@ -275,10 +276,10 @@ def _parse_grid(payload: dict, problems: _Problems) -> SweepGrid | None:
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             problems.add(f"spec.config.{key}", f"expected int >= 1, got {value!r}")
             return None
-    if cache_backend not in ("fast", "reference", "batch"):
+    if cache_backend not in CACHE_BACKEND_NAMES:
         problems.add(
             "spec.config.cache_backend",
-            f"expected one of fast, reference, batch, got {cache_backend!r}",
+            f"expected one of {', '.join(CACHE_BACKEND_NAMES)}, got {cache_backend!r}",
         )
         return None
     try:

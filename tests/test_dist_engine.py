@@ -1,6 +1,6 @@
 """Tests for RemoteEngine and friends: byte-identity with the serial
 engine (clean, under network chaos, under worker death), degradation,
-the store proxy, and prep-bundle fetching.
+worker-loss accounting, and prep-bundle fetching.
 
 Workers run in-process (``WorkerServer.start()`` threads): same wire,
 same frames, no subprocess management — and an injected ``worker-vanish``
@@ -14,11 +14,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.dist import ProxyBackend, RemoteEngine, StoreProxyServer, WorkerServer, codec
-from repro.exec.backend import MemoryBackend
+from repro.dist import RemoteEngine, WorkerRegistry, WorkerServer, codec
 from repro.exec.engine import SerialEngine, execute_job
 from repro.exec.faults import FaultPlan, FaultRule, set_fault_plan
-from repro.exec.store import ResultStore
 from repro.exec.sweep import run_sweep
 from repro.obs import METRICS
 from repro.sim.config import SystemConfig
@@ -182,37 +180,24 @@ class TestMixedEngineJournalResume:
         assert json.dumps(resumed.aggregates(), sort_keys=True) == reference_agg
 
 
-class TestStoreProxy:
-    def test_resultstore_over_proxy_roundtrip(self, tmp_path):
-        from repro.exec.jobs import JobSpec
-        from repro.sim.driver import run_application
+class TestLossAccounting:
+    def test_stranger_loss_is_not_counted(self):
+        """A connect-refused retry reports an address that never joined;
+        the registry must drop it rather than inflate ``lost``."""
+        registry = WorkerRegistry()
+        assert registry.note_lost(("127.0.0.1", 1), "connect refused") is False
+        assert registry.lost == 0
+        assert METRICS.snapshot()["counters"].get("dist.worker_lost", 0) == 0
 
-        with StoreProxyServer(MemoryBackend()).start() as server:
-            store = ResultStore(tmp_path, backend=ProxyBackend(server.address))
-            spec = JobSpec(app="swim", policy="shared", config=CONFIG)
-            assert store.get(spec) is None
-            result = run_application(spec.app, spec.policy, CONFIG)
-            store.put(spec, result)
-            cached = store.get(spec)
-            assert cached is not None and cached.total_cycles == result.total_cycles
-            assert len(store) == 1
-            store.clear()
-            assert len(store) == 0
-
-    def test_traversal_keys_are_refused_remotely(self):
-        with StoreProxyServer(MemoryBackend()).start() as server:
-            proxy = ProxyBackend(server.address)
-            with pytest.raises(OSError, match="store proxy refused"):
-                proxy.write("../escape", b"x")
-            proxy.close()
-
-    def test_unreachable_server_raises_oserror_on_read(self):
-        proxy = ProxyBackend(("127.0.0.1", 1), timeout_s=0.5)
-        with pytest.raises(OSError):
-            proxy.read("v1/ab/x.json")
-        # Delete and sweep swallow link errors (eviction is best-effort).
-        assert proxy.delete("v1/ab/x.json") is False
-        assert proxy.sweep_stale("", 0.0) == 0
+    def test_double_report_counts_once(self):
+        """The dispatch-failure path and the liveness probe can both
+        report the same death; only the first may count."""
+        registry = WorkerRegistry()
+        registry.note_join(("127.0.0.1", 7001), "w1", 42)
+        assert registry.note_lost(("127.0.0.1", 7001), "io error") is True
+        assert registry.note_lost(("127.0.0.1", 7001), "probe failed") is False
+        assert registry.lost == 1
+        assert METRICS.snapshot()["counters"]["dist.worker_lost"] == 1
 
 
 class TestPrepFetch:

@@ -1,5 +1,5 @@
 """Tests for the dist wire layer: framing, handshake refusals, codecs,
-and the worker/store-proxy handshake behaviour over real sockets."""
+address parsing, and the worker handshake behaviour over real sockets."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from repro.dist.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.dist.registry import parse_worker_address
+from repro.dist.registry import format_address, parse_worker_address
 from repro.exec.jobs import JobOutcome, JobSpec
 from repro.sim.config import SystemConfig
 
@@ -147,6 +147,27 @@ class TestAddressParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError, match="not host:port"):
             parse_worker_address(bad)
+
+    def test_bracketed_ipv6_parses(self):
+        assert parse_worker_address("[::1]:8000") == ("::1", 8000)
+        assert parse_worker_address("[2001:db8::2]:9") == ("2001:db8::2", 9)
+
+    def test_ipv6_round_trips_through_format(self):
+        address = ("::1", 8000)
+        assert format_address(address) == "[::1]:8000"
+        assert parse_worker_address(format_address(address)) == address
+
+    def test_ipv4_round_trips_unbracketed(self):
+        assert format_address(("127.0.0.1", 80)) == "127.0.0.1:80"
+        assert parse_worker_address("127.0.0.1:80") == ("127.0.0.1", 80)
+
+    def test_bare_ipv6_is_rejected_as_ambiguous(self):
+        with pytest.raises(ValueError, match="ambiguous"):
+            parse_worker_address("::1:8000")
+
+    def test_empty_bracketed_host_rejected(self):
+        with pytest.raises(ValueError):
+            parse_worker_address("[]:8000")
 
 
 class TestSpecCodec:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -219,6 +221,33 @@ class TestBackoff:
         # ... and the next batch refills the budget.
         engine._reset_backoff()
         assert engine._backoff_sleep(1) > 0.0
+
+    def test_backoff_budget_holds_under_concurrent_retriers(self, monkeypatch):
+        """The remote engine's dispatcher threads share one budget: however
+        their budget updates interleave, the delays they are granted never
+        sum past it."""
+        self._capture_sleeps(monkeypatch)
+        monkeypatch.setattr("repro.exec.engine.random.random", lambda: 1.0)
+        engine = SerialEngine(backoff_s=1e-4, backoff_cap_s=1e-4, backoff_budget_s=1.0)
+        granted: list[float] = []
+
+        def retrier():
+            for _ in range(2000):
+                granted.append(engine._backoff_sleep(1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=retrier) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(granted) == 8 * 2000
+        assert sum(granted) <= engine.backoff_budget_s + 1e-9
 
     def test_run_refills_budget_per_batch(self, monkeypatch, tiny_config):
         self._capture_sleeps(monkeypatch)

@@ -1,10 +1,10 @@
 """Readiness files are written only once a process can drain cleanly.
 
-``repro serve``, ``repro worker`` and ``repro registrar`` announce their
-bound port through ``--port-file``, and a supervisor may send SIGTERM the
-moment that file appears.  Each scenario runs one command in-process on
-the main thread, with the port-file helper wrapped to record SIGTERM's
-disposition at the instant the file lands and then stop the command.
+``repro serve`` and ``repro worker`` announce their bound port through
+``--port-file``, and a supervisor may send SIGTERM the moment that file
+appears.  Each scenario runs one command in-process on the main thread,
+with the port-file helper wrapped to record SIGTERM's disposition at the
+instant the file lands and then stop the command.
 
 - **WHEN** the port file appears
 - **THEN** ``signal.getsignal(SIGTERM)`` is no longer ``SIG_DFL`` (the
@@ -85,13 +85,6 @@ def test_worker_installs_handlers_before_port_file(tmp_path, at_port_file):
     seen, _ = at_port_file
     port_file = tmp_path / "worker.port"
     assert main(["worker", "--port", "0", "--port-file", str(port_file)]) == 0
-    _assert_ready_after_handlers(seen, port_file)
-
-
-def test_registrar_installs_handlers_before_port_file(tmp_path, at_port_file):
-    seen, _ = at_port_file
-    port_file = tmp_path / "registrar.port"
-    assert main(["registrar", "--port", "0", "--port-file", str(port_file)]) == 0
     _assert_ready_after_handlers(seen, port_file)
 
 

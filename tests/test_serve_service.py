@@ -84,6 +84,41 @@ class TestSubmission:
 
         asyncio.run(main())
 
+    def test_when_batch_grid_submitted_then_done_and_byte_identical(self, tmp_path):
+        """WHEN a grid with ``cache_backend: batch`` is submitted THEN it
+        finishes ``done`` with aggregates byte-identical to ``run_sweep``
+        of the same grid."""
+        grid = {**TINY, "cache_backend": "batch"}
+
+        async def main():
+            service = _service(tmp_path)
+            service.start()
+            status, body = service.submit(grid)
+            assert status == 202
+            task = await _finish(service, body["sweep_id"])
+            assert task.status == "done" and not task.result.failures
+            await service.drain()
+            return json.dumps(task.result.aggregates(), sort_keys=True)
+
+        served = asyncio.run(main())
+        METRICS.reset()
+        assert served == _reference_aggregates(grid)
+
+    def test_when_unknown_backend_submitted_then_400_names_all_backends(self, tmp_path):
+        """WHEN a grid names an unknown ``cache_backend`` THEN the 400
+        response lists every accepted backend."""
+        async def main():
+            service = _service(tmp_path)
+            service.start()
+            status, body = service.submit({**TINY, "cache_backend": "magic"})
+            await service.drain()
+            return status, body["error"]
+
+        status, error = asyncio.run(main())
+        assert status == 400
+        for backend in ("fast", "reference", "batch"):
+            assert backend in error
+
     def test_identical_grids_attach_and_execute_once(self, tmp_path):
         """Satellite: two clients, same grid -> one engine execution per
         cell, byte-identical results for both."""
@@ -152,6 +187,14 @@ class TestSubmission:
 
 
 class TestAdmission:
+    def test_static_int_still_works(self):
+        admission = AdmissionController(workers=4)
+        assert admission.workers == 4
+
+    def test_static_zero_rejected(self):
+        with pytest.raises(ValueError):
+            AdmissionController(workers=0)
+
     def test_backlog_bound_rejects_with_retry_after(self, tmp_path):
         async def main():
             admission = AdmissionController(max_pending_cells=1)
