@@ -8,8 +8,10 @@ products (line indices, hit/miss cost vectors, instruction deltas) are
 materialised once as contiguous arrays straight off the (possibly
 mmapped) :mod:`repro.prep` views, per-lane cache and CPU state lives in
 stacked struct-of-arrays (``tags``/``owner``/``last``/``lru-stamp`` of
-shape ``[lanes, sets x ways]``), and each lane's replay inner loop runs
-in the compiled C routine of :mod:`repro.cache.batchkernel`.
+shape ``[lanes, sets x ways]``, plus the line→slot map and per-(set,
+owner) LRU lists the kernel probes instead of scanning ways), and each
+lane's replay inner loop runs in the compiled C routine of
+:mod:`repro.cache.batchkernel`.
 
 Lanes execute sequentially, each to completion — a deliberate deviation
 from per-access lane-vectorisation: NumPy's ~2.5 µs per-operator
@@ -134,6 +136,15 @@ class _SharedStreams:
         self.dil = join(per_dil, np.int64)
 
 
+def _map_bits(geometry: CacheGeometry) -> int:
+    """log2 of a lane's line->slot map size: the least power of two
+    holding 16 x sets x ways buckets.  Most probes are for lines not in
+    the cache, and a sparse table answers them from an empty home
+    bucket: on a 2-core x86-64 host, 16x ran the 8-thread kernel about
+    19% faster than 4x, and 32x or 64x no faster (BENCH.md)."""
+    return (16 * geometry.sets * geometry.ways - 1).bit_length()
+
+
 class _BatchState:
     """Stacked per-lane state: one row per lane, sized for the largest
     lane geometry (lanes may differ in L2 sets x ways)."""
@@ -142,12 +153,19 @@ class _BatchState:
         L = len(lanes)
         max_slots = max(lane.geometry.sets * lane.geometry.ways for lane in lanes)
         max_counts = max(lane.geometry.sets for lane in lanes) * n
+        max_map = max(1 << _map_bits(lane.geometry) for lane in lanes)
         self.tags = np.full((L, max_slots), -1, dtype=np.int64)
         self.owner = np.full((L, max_slots), -1, dtype=np.int32)
         self.last = np.full((L, max_slots), -1, dtype=np.int32)
         self.stamp = np.zeros((L, max_slots), dtype=np.int64)
         self.filled = np.zeros((L, max(lane.geometry.sets for lane in lanes)), dtype=np.int32)
         self.count = np.zeros((L, max_counts), dtype=np.int64)
+        # line -> slot (or -1); per-(set, owner) LRU lists over the slots.
+        self.slot_map = np.full((L, max_map), -1, dtype=np.int32)
+        self.lru_prev = np.full((L, max_slots), -1, dtype=np.int32)
+        self.lru_next = np.full((L, max_slots), -1, dtype=np.int32)
+        self.lru_head = np.full((L, max_counts), -1, dtype=np.int32)
+        self.lru_tail = np.full((L, max_counts), -1, dtype=np.int32)
         self.targets = np.zeros((L, n), dtype=np.int64)
         self.miss = np.zeros((L, n), dtype=np.int64)
         self.evict = np.zeros((L, n), dtype=np.int64)
@@ -254,14 +272,17 @@ def _replay_lane_compiled(
         _ptr(state.tags[li], _P_I64), _ptr(state.owner[li], _P_I32),
         _ptr(state.last[li], _P_I32), _ptr(state.stamp[li], _P_I64),
         _ptr(state.filled[li], _P_I32), _ptr(state.count[li], _P_I64),
-        _ptr(state.targets[li], _P_I64),
+        _ptr(state.targets[li], _P_I64), _ptr(state.slot_map[li], _P_I32),
+        _ptr(state.lru_prev[li], _P_I32), _ptr(state.lru_next[li], _P_I32),
+        _ptr(state.lru_head[li], _P_I32), _ptr(state.lru_tail[li], _P_I32),
         _ptr(state.miss[li], _P_I64), _ptr(state.evict[li], _P_I64),
         _ptr(state.ith[li], _P_I64), _ptr(state.ite[li], _P_I64),
         _ptr(state.inh[li], _P_I64),
         _ptr(clock, _P_F64), _ptr(stall, _P_F64), _ptr(instr, _P_I64),
         _ptr(state.cursor[li], _P_I64), _ptr(done, _P_I32),
         _ptr(state.arrivals[li], _P_F64), _ptr(ctrl, _P_I64),
-        n, n_sections, lane.geometry.ways, lane.geometry.sets - 1, int(lane.enforce_partition),
+        n, n_sections, lane.geometry.ways, lane.geometry.sets - 1,
+        64 - _map_bits(lane.geometry), int(lane.enforce_partition),
     )
     while kernel(*args) == RC_TICK:
         l2.sync_stats()

@@ -22,15 +22,30 @@ inner loop is a small C routine instead — ROADMAP item 2's "compiled
 kernel with pure-Python fallback" option — compiled once per host with
 the system C compiler and loaded through :mod:`ctypes`.
 
-``replay_lane`` is a line-for-line transcription of
-``CMPEngine._run_reference`` plus the reference cache's ``access``/
-``_fill``/``_choose_victim``:
+``replay_lane`` replays ``CMPEngine._run_reference`` plus the reference
+cache's ``access``/``_fill``/``_choose_victim`` over the fastpath's data
+structures (DESIGN.md §C.1), so no per-access step scans a set's ways:
 
 * dispatch scans threads in index order keeping a strictly smaller
   clock, so the lowest-index minimum-clock thread wins ties;
-* the hit probe and every victim rule are way-order scans with
-  first-strictly-minimal LRU stamps, exactly the reference's scans
-  (stamps are globally unique, so no tie-break cases exist);
+* the hit probe is a line→slot map: an ``int32`` open-addressing table
+  of at least 16 x ``sets x ways`` buckets, each holding a slot or -1.
+  A line's home bucket is the top bits of ``line * 0x9E3779B97F4A7C15``;
+  probes are linear, keys are read back from ``tags[slot]``, and an
+  eviction deletes by backward shift, so no tombstones build up;
+* each (set, owner) keeps its lines in an LRU list (``int32`` prev/next
+  links per slot, head/tail per (set, thread)).  A hit moves the line to
+  its owner's tail, a fill appends to the filler's tail, an eviction
+  unlinks it from its old owner.  Every access stamps one line with a
+  fresh clock, so stamps are unique and each list stays in stamp order.
+  The oldest head among some owners is therefore the line the
+  reference's way-order scan over those owners' lines picks, and each
+  Section V rule compares at most ``n`` heads: over-target LRU (owners
+  with ``count > target``), own LRU (the thread's head), global LRU
+  (every head; plain-LRU lanes and the last fallback);
+* a cold fill takes way ``filled[s]``: nothing invalidates a line during
+  a replay, so a set's invalid ways are always the suffix
+  ``[filled[s], ways)``, exactly the reference's first invalid way;
 * all cycle quantities are IEEE-754 doubles accumulated in the
   reference's order (no ``-ffast-math``), instruction counts are
   ``int64`` — byte-identity is the contract, enforced by
@@ -81,66 +96,96 @@ KERNEL_SOURCE = r"""
 #define C_SEC       3   /* current section index                      */
 #define C_ACTIVE    4   /* threads still running this section         */
 
-static int64_t choose_victim(
-    int64_t t, int64_t base, int64_t cb, int64_t ways, int64_t n,
-    const int64_t *tags, const int32_t *owner, const int64_t *stamp,
-    const int64_t *count, const int64_t *targets, int64_t enforce)
+/* Home bucket of `line` in a 2^(64 - shift)-entry line->slot map:
+ * the top bits of a Fibonacci-hash product. */
+static inline uint64_t map_home(int64_t line, int64_t shift)
 {
-    int64_t w, best, best_stamp;
-    (void)tags; (void)n;
-    if (!enforce) {
-        /* Plain global LRU: first strictly-minimal stamp in way order. */
-        best = base; best_stamp = stamp[base];
-        for (w = 1; w < ways; w++) {
-            if (stamp[base + w] < best_stamp) {
-                best = base + w; best_stamp = stamp[base + w];
-            }
+    return ((uint64_t)line * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
+}
+
+/* Drop the entry at bucket `i` by backward shift: pull each later
+ * entry of the probe run back into the hole unless the hole lies
+ * before its home bucket.  No tombstones, so probes stay short. */
+static void map_delete(int32_t *map, uint64_t mask, int64_t shift,
+                       const int64_t *tags, uint64_t i)
+{
+    uint64_t k = i;
+    for (;;) {
+        int32_t e;
+        k = (k + 1) & mask;
+        e = map[k];
+        if (e < 0) break;
+        if (((k - map_home(tags[e], shift)) & mask) >= ((k - i) & mask)) {
+            map[i] = e;
+            i = k;
         }
-        return best;
     }
+    map[i] = -1;
+}
+
+/* Per-(set, owner) LRU lists: slots linked oldest (head) to newest
+ * (tail).  Every access stamps one line with a fresh clock and moves
+ * it to a tail, so each list stays in stamp order. */
+static inline void lru_unlink(int32_t *prev, int32_t *next, int32_t *head,
+                              int32_t *tail, int64_t q, int32_t j)
+{
+    int32_t p = prev[j], x = next[j];
+    if (p >= 0) next[p] = x; else head[q] = x;
+    if (x >= 0) prev[x] = p; else tail[q] = p;
+}
+
+static inline void lru_append(int32_t *prev, int32_t *next, int32_t *head,
+                              int32_t *tail, int64_t q, int32_t j)
+{
+    int32_t p = tail[q];
+    prev[j] = p;
+    next[j] = -1;
+    if (p >= 0) next[p] = j; else head[q] = j;
+    tail[q] = j;
+}
+
+/* Oldest list head of set `cb / n`, among every owner or (over_only)
+ * only owners holding more lines than their target; -1 if none. */
+static int32_t oldest_head(const int32_t *head, const int64_t *stamp,
+                           const int64_t *count, const int64_t *targets,
+                           int64_t cb, int64_t n, int over_only)
+{
+    int32_t best = -1;
+    int64_t o, best_stamp = 0;
+    for (o = 0; o < n; o++) {
+        int32_t h = head[cb + o];
+        if (h < 0 || (over_only && count[cb + o] <= targets[o])) continue;
+        if (best < 0 || stamp[h] < best_stamp) { best = h; best_stamp = stamp[h]; }
+    }
+    return best;
+}
+
+/* Section V victim of a full set, for missing thread `t`.  Stamps are
+ * unique, so the oldest head among some owners is the line the
+ * reference's way-order scan over those owners' lines picks. */
+static int32_t choose_victim(
+    int64_t t, int64_t cb, int64_t n, const int32_t *head,
+    const int64_t *stamp, const int64_t *count, const int64_t *targets,
+    int64_t enforce)
+{
+    int32_t j;
+    if (!enforce) return oldest_head(head, stamp, count, targets, cb, n, 0);
     if (count[cb + t] < targets[t]) {
         /* Under target: evict the LRU line of an over-target thread. */
-        best = -1; best_stamp = 0;
-        for (w = 0; w < ways; w++) {
-            int64_t o = owner[base + w];
-            if (count[cb + o] > targets[o]) {
-                int64_t st = stamp[base + w];
-                if (best < 0 || st < best_stamp) { best = base + w; best_stamp = st; }
-            }
-        }
-        if (best >= 0) return best;
+        j = oldest_head(head, stamp, count, targets, cb, n, 1);
+        if (j >= 0) return j;
         /* Unreachable on a full set (counts and targets both sum to
          * `ways`), but fall through to own-LRU defensively. */
     }
     /* At or over target (or no over-target victim): own LRU line. */
-    best = -1; best_stamp = 0;
-    for (w = 0; w < ways; w++) {
-        if (owner[base + w] == t) {
-            int64_t st = stamp[base + w];
-            if (best < 0 || st < best_stamp) { best = base + w; best_stamp = st; }
-        }
-    }
-    if (best >= 0) return best;
+    if (head[cb + t] >= 0) return head[cb + t];
     /* Thread owns nothing here (possible when its target is 0).
      * Eviction control still applies: prefer the LRU line of an
      * over-target thread so under-target threads keep their lines. */
-    best = -1; best_stamp = 0;
-    for (w = 0; w < ways; w++) {
-        int64_t o = owner[base + w];
-        if (count[cb + o] > targets[o]) {
-            int64_t st = stamp[base + w];
-            if (best < 0 || st < best_stamp) { best = base + w; best_stamp = st; }
-        }
-    }
-    if (best >= 0) return best;
+    j = oldest_head(head, stamp, count, targets, cb, n, 1);
+    if (j >= 0) return j;
     /* Nobody over target either: global LRU. */
-    best = base; best_stamp = stamp[base];
-    for (w = 1; w < ways; w++) {
-        if (stamp[base + w] < best_stamp) {
-            best = base + w; best_stamp = stamp[base + w];
-        }
-    }
-    return best;
+    return oldest_head(head, stamp, count, targets, cb, n, 0);
 }
 
 int64_t replay_lane(
@@ -156,6 +201,9 @@ int64_t replay_lane(
     /* per-lane cache state */
     int64_t *tags, int32_t *owner, int32_t *last, int64_t *stamp,
     int32_t *filled, int64_t *count, const int64_t *targets,
+    int32_t *map,                /* [2^(64-map_shift)] line -> slot, or -1 */
+    int32_t *prev, int32_t *next,      /* [sets*ways] LRU list links       */
+    int32_t *head, int32_t *tail,      /* [sets*n] per-(set, owner) ends   */
     /* per-lane statistics counters */
     int64_t *miss, int64_t *evict, int64_t *ith, int64_t *ite, int64_t *inh,
     /* per-lane CPU state */
@@ -164,14 +212,15 @@ int64_t replay_lane(
     int64_t *ctrl,
     /* parameters */
     int64_t n, int64_t n_sections, int64_t ways,
-    int64_t set_mask, int64_t enforce)
+    int64_t set_mask, int64_t map_shift, int64_t enforce)
 {
     int64_t clk       = ctrl[C_CLK];
     int64_t tot       = ctrl[C_TOT];
     int64_t next_tick = ctrl[C_NEXT_TICK];
     int64_t sec       = ctrl[C_SEC];
     int64_t active    = ctrl[C_ACTIVE];
-    int64_t t, k, w;
+    uint64_t map_mask = UINT64_MAX >> map_shift;
+    int64_t t, k;
 
     for (; sec < n_sections; ) {
         const int64_t *sec_end = ends + sec * n;
@@ -203,38 +252,51 @@ int64_t replay_lane(
                     int64_t sb = stream_base[t];
                     int64_t lv = line[sb + i];
                     int64_t s = lv & set_mask;
-                    int64_t base = s * ways;
                     int64_t cb = s * n;
-                    int64_t j = -1;
+                    uint64_t h = map_home(lv, map_shift);
+                    int32_t j;
                     clk += 1;
-                    for (w = 0; w < ways; w++) {
-                        if (tags[base + w] == lv) { j = base + w; break; }
-                    }
+                    while ((j = map[h]) >= 0 && tags[j] != lv) h = (h + 1) & map_mask;
                     if (j >= 0) {
+                        int64_t q = cb + owner[j];
                         if (last[j] != (int32_t)t) { ith[t] += 1; last[j] = (int32_t)t; }
                         else                       { inh[t] += 1; }
                         stamp[j] = clk;
+                        if (tail[q] != j) {
+                            lru_unlink(prev, next, head, tail, q, j);
+                            lru_append(prev, next, head, tail, q, j);
+                        }
                         clock[t] += dch[sb + i];
                     } else {
                         miss[t] += 1;
                         if (filled[s] < ways) {
-                            /* Cold fill: first invalid way, no eviction. */
-                            for (w = 0; w < ways; w++) {
-                                if (tags[base + w] == -1) { j = base + w; break; }
-                            }
+                            /* Cold fill: nothing is ever invalidated, so
+                             * the invalid ways are the suffix from filled[s]. */
+                            j = (int32_t)(s * ways + filled[s]);
                             filled[s] += 1;
                         } else {
-                            j = choose_victim(t, base, cb, ways, n, tags, owner,
-                                              stamp, count, targets, enforce);
+                            uint64_t e;
+                            j = choose_victim(t, cb, n, head, stamp, count,
+                                              targets, enforce);
                             evict[t] += 1;
                             if (last[j] != (int32_t)t) ite[t] += 1;
                             count[cb + owner[j]] -= 1;
+                            lru_unlink(prev, next, head, tail, cb + owner[j], j);
+                            e = map_home(tags[j], map_shift);
+                            while (map[e] != j) e = (e + 1) & map_mask;
+                            map_delete(map, map_mask, map_shift, tags, e);
+                            /* The shift may have opened a bucket earlier
+                             * on this line's probe run. */
+                            h = map_home(lv, map_shift);
+                            while (map[h] >= 0) h = (h + 1) & map_mask;
                         }
+                        map[h] = j;
                         tags[j] = lv;
                         owner[j] = (int32_t)t;
                         last[j] = (int32_t)t;
                         stamp[j] = clk;
                         count[cb + t] += 1;
+                        lru_append(prev, next, head, tail, cb + t, j);
                         clock[t] += dcm[sb + i];
                     }
                     instr[t] += dil[sb + i];
@@ -377,10 +439,11 @@ def _bind(path: Path):
     fn.argtypes = [
         p_i64, p_f64, p_f64, p_i64, p_i64, p_i64, p_f64, p_i64,  # streams
         p_i64, p_i32, p_i32, p_i64, p_i32, p_i64, p_i64,  # cache state
+        p_i32, p_i32, p_i32, p_i32, p_i32,  # map, prev, next, head, tail
         p_i64, p_i64, p_i64, p_i64, p_i64,  # counters
         p_f64, p_f64, p_i64, p_i64, p_i32, p_f64, p_i64,  # cpu state
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n, n_sections, ways
-        ctypes.c_int64, ctypes.c_int64,  # set_mask, enforce
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # set_mask, map_shift, enforce
     ]
     i64 = ctypes.c_int64
     l1 = lib.l1_filter

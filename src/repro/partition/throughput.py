@@ -22,6 +22,8 @@ then miss-proportional partitioning while the models warm up.
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.models import ThreadModelBank
 from repro.core.records import IntervalObservation
 from repro.mathx.rounding import largest_remainder_apportion
@@ -54,18 +56,21 @@ def greedy_min_total_misses(
     if sum(ways) != total_ways:
         raise ValueError(f"start_ways {ways} do not sum to {total_ways}")
     models = [bank.model(t) for t in range(n)]
+
+    # The models cannot change during the climb, which revisits the same
+    # (thread, ways) points again and again: evaluate each one once.
+    @functools.cache
+    def predict(t: int, w: int) -> float:
+        return float(models[t](float(w)))
+
     for _ in range(total_ways + 1):
         best = None  # (net_gain, receiver, donor)
         for recv in range(n):
-            gain = float(models[recv](float(ways[recv]))) - float(
-                models[recv](float(ways[recv] + 1))
-            )
+            gain = predict(recv, ways[recv]) - predict(recv, ways[recv] + 1)
             for donor in range(n):
                 if donor == recv or ways[donor] <= min_ways:
                     continue
-                loss = float(models[donor](float(ways[donor] - 1))) - float(
-                    models[donor](float(ways[donor]))
-                )
+                loss = predict(donor, ways[donor] - 1) - predict(donor, ways[donor])
                 net = gain - loss
                 if best is None or net > best[0]:
                     best = (net, recv, donor)

@@ -29,7 +29,7 @@ import pytest
 from repro import SystemConfig
 from repro.cache import CacheGeometry, FastPartitionedSharedCache, PartitionedSharedCache
 from repro.obs.tracer import RecordingTracer
-from repro.partition import POLICY_REGISTRY
+from repro.partition import POLICY_REGISTRY, PartitioningPolicy
 from repro.sim.driver import run_application, run_batch
 
 APPS = ("swim", "art", "equake", "mgrid")
@@ -215,6 +215,67 @@ def _random_stream(seed: int, n_threads: int, length: int) -> list[tuple[int, in
 def _random_targets(rng: random.Random, n_threads: int, ways: int) -> list[int]:
     cuts = sorted(rng.randrange(ways + 1) for _ in range(n_threads - 1))
     return [b - a for a, b in zip([0, *cuts], [*cuts, ways])]
+
+
+class _ChurningTargets(PartitioningPolicy):
+    """Seeded random cuts of the ways, zeros included, at every interval.
+
+    A zero target drives the Section V fallbacks that no registered
+    policy reaches: a missing thread that owns nothing in the set, and
+    a full set where nobody is over target.
+    """
+
+    def __init__(self, n_threads: int, total_ways: int, seed: int) -> None:
+        super().__init__(n_threads, total_ways, min_ways=0)
+        self.seed = seed
+        self.reset()
+
+    @property
+    def name(self) -> str:
+        return f"churn-{self.seed}"
+
+    def initial_targets(self) -> list[int]:
+        return _random_targets(self._rng, self.n_threads, self.total_ways)
+
+    def on_interval(self, obs) -> list[int]:
+        return _random_targets(self._rng, self.n_threads, self.total_ways)
+
+    def reset(self) -> None:
+        self._rng = random.Random(self.seed)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    (
+        CacheGeometry(sets=16, ways=8),
+        CacheGeometry(sets=32, ways=16),
+        CacheGeometry(sets=32, ways=32),
+    ),
+    ids=("l2-16x8", "l2-32x16", "l2-32x32"),
+)
+@pytest.mark.parametrize("n_threads", (4, 8))
+def test_batched_lanes_under_zero_and_churning_targets(n_threads, geometry):
+    """Compiled lanes whose targets include zeros and change every
+    interval match the reference engine over PartitionedSharedCache."""
+    config = SystemConfig.quick(n_threads=n_threads).with_(l2_geometry=geometry)
+    seeds = (3, 11, 29)
+    results = run_batch(
+        "swim",
+        [
+            (_ChurningTargets(n_threads, geometry.ways, seed), config.with_(cache_backend="batch"))
+            for seed in seeds
+        ],
+    )
+    for seed, result in zip(seeds, results):
+        ref = run_application(
+            "swim",
+            _ChurningTargets(n_threads, geometry.ways, seed),
+            config.with_(cache_backend="reference"),
+        )
+        ref_d, lane_d = ref.to_dict(), result.to_dict()
+        if json.dumps(ref_d, sort_keys=True) != json.dumps(lane_d, sort_keys=True):
+            diffs = _diff_fields(ref_d, lane_d)
+            pytest.fail(f"churning lane seed={seed} diverges:\n  " + "\n  ".join(diffs[:20]))
 
 
 @pytest.mark.parametrize("enforce", (True, False), ids=("partitioned", "plain-lru"))

@@ -93,11 +93,39 @@ def _journal_cells(path: Path) -> int:
         return 0
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of the processes in group ``pgid`` that are not zombies."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        # After the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
 def _kill_after_cells(argv, journal: Path, n_cells: int, sig=signal.SIGKILL) -> subprocess.Popen:
-    """Start the sweep and deliver ``sig`` once ``n_cells`` outcomes are
-    durably journaled (i.e. genuinely mid-flight)."""
+    """Start the sweep in its own process group and deliver ``sig`` to the
+    coordinator alone once ``n_cells`` outcomes are durably journaled
+    (i.e. genuinely mid-flight).
+
+    Once the coordinator has exited, SIGKILL whatever is left of its
+    group: the pool workers of a SIGKILLed ``--jobs 2`` coordinator
+    would otherwise block forever.
+    """
     proc = subprocess.Popen(
-        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_env()
+        argv,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(),
+        start_new_session=True,
     )
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
@@ -108,6 +136,14 @@ def _kill_after_cells(argv, journal: Path, n_cells: int, sig=signal.SIGKILL) -> 
             break
         time.sleep(0.005)
     proc.wait(timeout=60)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    deadline = time.monotonic() + 10
+    while (survivors := _live_group_members(proc.pid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not survivors, f"processes {survivors} of the killed sweep's group survived"
     return proc
 
 
