@@ -14,14 +14,6 @@ outside the pytest harness, in two modes:
    restored rather than recomputed and (b) the aggregates are
    byte-identical to the control's.
 
-``--mode serve`` — the service path:
-
-1. start ``repro serve``, submit the grid, SIGTERM the service once at
-   least one cell is journaled; require a *clean drain* (exit 0);
-2. start a fresh service on the same data dir, resubmit the same grid
-   (it resumes from the journal), and compare the final aggregates to an
-   uninterrupted ``repro sweep`` control byte-for-byte.
-
 ``--mode dist`` — the distributed path (DESIGN.md §G), two phases:
 
 1. *worker death*: start two ``repro worker`` processes, run the grid
@@ -43,7 +35,7 @@ The default grid is built in; ``--spec FILE`` loads it from a checked-in
 experiment spec instead (``specs/chaos_sweep.yaml`` is the canonical
 one), so the chaos grid and the spec-driven grid are the same document.
 
-Usage: PYTHONPATH=src python scripts/chaos_smoke.py [--jobs N] [--mode sweep|serve|dist]
+Usage: PYTHONPATH=src python scripts/chaos_smoke.py [--jobs N] [--mode sweep|dist]
                                                     [--spec FILE]
 """
 
@@ -189,98 +181,6 @@ def sweep_mode(jobs: int) -> int:
     return compare_aggregates(resumed, control)
 
 
-def start_serve(tmp: Path, data_dir: Path, jobs: int) -> tuple[subprocess.Popen, int]:
-    port_file = tmp / f"port-{time.monotonic_ns()}"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--port-file", str(port_file),
-            "--data-dir", str(data_dir), "--jobs", str(jobs),
-            "--batch-size", "1",
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if port_file.is_file() and port_file.read_text().strip():
-            return proc, int(port_file.read_text().strip())
-        if proc.poll() is not None:
-            raise RuntimeError(f"serve died at startup:\n{proc.stdout.read()}")
-        time.sleep(0.02)
-    proc.kill()
-    raise RuntimeError("serve did not write its port file in time")
-
-
-def serve_mode(jobs: int) -> int:
-    from repro.serve.client import ServeClient
-    from repro.serve.protocol import SweepRequest
-
-    control = run_control(jobs)
-    with tempfile.TemporaryDirectory(prefix="chaos-smoke-serve-") as tmp_str:
-        tmp = Path(tmp_str)
-        data_dir = tmp / "serve-data"
-        sweep_id = SweepRequest.from_dict(GRID).sweep_id
-        journal = data_dir / "journals" / f"{sweep_id}.jsonl"
-
-        proc, port = start_serve(tmp, data_dir, jobs)
-        try:
-            ServeClient(port=port).submit(GRID)
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                if journal_cells(journal) >= 1:
-                    proc.send_signal(signal.SIGTERM)
-                    break
-                time.sleep(0.005)
-            proc.wait(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        output = proc.stdout.read()
-        if proc.returncode != 0:
-            print(
-                f"error: serve exited {proc.returncode} on SIGTERM (want 0):\n{output}",
-                file=sys.stderr,
-            )
-            return 1
-        if "drained cleanly" not in output:
-            print(f"error: serve did not report a clean drain:\n{output}", file=sys.stderr)
-            return 1
-        completed = journal_cells(journal)
-        if not 1 <= completed < 4:
-            print(
-                f"error: SIGTERM landed with {completed} cell(s) journaled — "
-                "not mid-sweep; timing too coarse for this host",
-                file=sys.stderr,
-            )
-            return 1
-        if not journal.read_bytes().endswith(b"\n"):
-            print("error: journal is not newline-terminated after the drain", file=sys.stderr)
-            return 1
-        print(f"serve drained cleanly with {completed} cell(s) journaled")
-
-        proc, port = start_serve(tmp, data_dir, jobs)
-        try:
-            final = ServeClient(port=port).run({**GRID, "client": "chaos-smoke"})
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=120)
-        if proc.returncode != 0:
-            print(f"error: second serve exited {proc.returncode}", file=sys.stderr)
-            return 1
-        if final["status"] != "done":
-            print(f"error: resumed sweep ended {final['status']!r}", file=sys.stderr)
-            return 1
-        print(f"resumed={final['resumed']} executed={final['executed']}")
-        if final["resumed"] != completed:
-            print(
-                f"error: {completed} cells were journaled but only "
-                f"{final['resumed']} restored",
-                file=sys.stderr,
-            )
-            return 1
-        return compare_aggregates(final["result"], control)
-
-
 def start_worker(tmp: Path, idx: int) -> tuple[subprocess.Popen, int]:
     port_file = tmp / f"worker-port-{idx}-{time.monotonic_ns()}"
     proc = subprocess.Popen(
@@ -406,9 +306,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
-        "--mode", choices=("sweep", "serve", "dist"), default="sweep",
-        help="kill the batch CLI (sweep, default), the service (serve), "
-        "or workers and the coordinator of a distributed sweep (dist)",
+        "--mode", choices=("sweep", "dist"), default="sweep",
+        help="kill the batch CLI (sweep, default) or workers and the "
+        "coordinator of a distributed sweep (dist)",
     )
     parser.add_argument(
         "--spec", metavar="FILE", default=None,
@@ -420,8 +320,6 @@ def main() -> int:
         load_grid_from_spec(args.spec)
     if args.mode == "sweep":
         return sweep_mode(args.jobs)
-    if args.mode == "serve":
-        return serve_mode(args.jobs)
     return dist_mode()
 
 

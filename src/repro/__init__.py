@@ -22,9 +22,9 @@ Public surface:
 * :mod:`repro.experiments` — one runner per paper figure/table.
 * :mod:`repro.exec` — parallel execution engines and the persistent,
   content-addressed result store (``--jobs`` / ``--cache-dir``).
-* :mod:`repro.dist` — distributed sweeps: ``repro worker`` processes,
-  :class:`~repro.dist.engine.RemoteEngine` (``--engine remote
-  --workers host:port,...``) and the store proxy (DESIGN.md §G).
+* :mod:`repro.dist` — distributed sweeps: ``repro worker`` processes
+  and :class:`~repro.dist.engine.RemoteEngine` (``--engine remote
+  --workers host:port,...``; DESIGN.md §G).
 """
 
 # Defined before any subpackage import: repro.exec and repro.prep read it

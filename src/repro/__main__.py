@@ -11,9 +11,6 @@ run-spec   execute a checked-in YAML/JSON experiment spec: same grid
 compare-runs
            diff two sweep result stores cell by cell and exit non-zero
            on regression (the continuous-benchmarking gate)
-serve      run the sweep service: accept grids over HTTP, coalesce
-           duplicate work, stream progress (DESIGN.md §F)
-submit     submit a sweep grid to a running ``repro serve`` and wait
 worker     run a distributed-sweep worker; point ``--engine remote
            --workers host:port,...`` at a fleet of them (DESIGN.md §G)
 report     summarize a telemetry trace written by ``--trace``
@@ -47,7 +44,6 @@ import sys
 from pathlib import Path
 
 from repro.exec import (
-    DEFAULT_POLICIES,
     POLICY_ALIASES,
     FaultPlan,
     GridError,
@@ -81,7 +77,6 @@ from repro.obs import (
 )
 from repro.partition import POLICY_REGISTRY
 from repro.prep import configure_prep, get_prep_store
-from repro.serve.protocol import DEFAULT_PORT
 from repro.sim.config import CACHE_BACKEND_NAMES, SystemConfig
 from repro.trace.workloads import list_workloads
 
@@ -146,10 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=4, help="number of cores/threads")
-        p.add_argument("--intervals", type=int, default=50, help="execution intervals")
         p.add_argument(
-            "--interval-instructions", type=int, default=20_000,
+            "--threads", type=_positive_int, default=4, help="number of cores/threads"
+        )
+        p.add_argument(
+            "--intervals", type=_positive_int, default=50, help="execution intervals"
+        )
+        p.add_argument(
+            "--interval-instructions", type=_positive_int, default=20_000,
             help="instructions per thread per interval",
         )
         p.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -282,37 +281,38 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--journal {args.journal!r} is a directory; pass a file path "
                 "(the journal is one JSONL file per sweep)"
             )
-        if args.resume and args.journal and Path(args.journal).is_file():
-            # A resume against a foreign journal must fail *here* — before
-            # the engine, pool workers or stores are constructed — with the
-            # same field-path style a spec validation error would use.
+        # The one grid builder validates every axis (field-path errors,
+        # exit 2) before any engine, pool worker or store is constructed.
+        try:
+            args.grid = SweepGrid.build(
+                apps=args.apps,
+                policies=args.policies,
+                seeds=args.seeds,
+                thread_counts=args.thread_counts,
+                baseline=args.baseline,
+                intervals=args.intervals,
+                interval_instructions=args.interval_instructions,
+                cache_backend=args.cache_backend,
+                path="sweep",
+            )
+        except GridError as exc:
+            p_sw.error(str(exc))
+        if args.resume and Path(args.journal).is_file():
+            # A resume against a foreign journal must fail here too, with
+            # the same field-path style a spec validation error would use.
             from repro.exec.journal import SweepJournal
 
-            try:
-                grid = SweepGrid.build(
-                    apps=args.apps,
-                    policies=args.policies,
-                    seeds=args.seeds,
-                    thread_counts=args.thread_counts,
-                    baseline=args.baseline,
-                    intervals=args.intervals,
-                    interval_instructions=args.interval_instructions,
-                    cache_backend=args.cache_backend,
-                    path="sweep",
-                )
-            except GridError as exc:
-                p_sw.error(str(exc))
             header, _, _ = SweepJournal.load(args.journal)
             if header is None:
                 p_sw.error(
                     f"sweep.resume: {args.journal!r} is not a sweep journal (no header)"
                 )
-            if header.get("grid_digest") != grid.digest:
+            if header.get("grid_digest") != args.grid.digest:
                 p_sw.error(
                     f"sweep.resume: journal {args.journal!r} was written by a "
                     f"different sweep grid "
                     f"(journal {str(header.get('grid_digest'))[:12]}…, these "
-                    f"flags {grid.digest[:12]}…); pass the grid the journal was "
+                    f"flags {args.grid.digest[:12]}…); pass the grid the journal was "
                     "started with, or drop --resume to restart it"
                 )
 
@@ -377,132 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "e.g. --tolerance total_cycles=0.01 (repeatable; overrides the spec)",
     )
     p_cr.add_argument("--json", action="store_true", help="emit JSON instead of ASCII")
-
-    p_srv = sub.add_parser(
-        "serve", help="run the sweep service (HTTP on localhost; DESIGN.md §F)"
-    )
-    p_srv.add_argument("--host", default="127.0.0.1", help="bind address (default localhost)")
-    p_srv.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"TCP port (default {DEFAULT_PORT}; 0 picks a free port)",
-    )
-    p_srv.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound port to PATH once listening (for scripts; "
-        "pairs with --port 0)",
-    )
-    p_srv.add_argument(
-        "--data-dir", default="serve-data", metavar="DIR",
-        help="service state root: journals/ for crash-resumable sweeps, "
-        "store/ for the shared result cache (default ./serve-data)",
-    )
-    p_srv.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for simulations (>= 1; 1 = serial, default)",
-    )
-    p_srv.add_argument(
-        "--engine", default=None, choices=("serial", "pool", "remote"),
-        help="execution engine (default: inferred — remote if --workers "
-        "is given, pool if --jobs > 1, else serial)",
-    )
-    p_srv.add_argument(
-        "--workers", default=None, metavar="HOST:PORT[,...]", type=_worker_list,
-        help="comma-separated `repro worker` addresses: the service "
-        "executes cells on a remote fleet (implies --engine remote)",
-    )
-    p_srv.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result store location (default: <data-dir>/store)",
-    )
-    p_srv.add_argument(
-        "--prep-dir", default=None, metavar="DIR",
-        help="prepared-program artifact cache shared with batch commands",
-    )
-    p_srv.add_argument(
-        "--max-pending-cells", type=_positive_int, default=512, metavar="N",
-        help="admission bound on queued+executing cells (default 512); "
-        "submissions that would exceed it get 429 + Retry-After",
-    )
-    p_srv.add_argument(
-        "--max-active-sweeps", type=_positive_int, default=64, metavar="N",
-        help="global cap on concurrently running sweeps (default 64)",
-    )
-    p_srv.add_argument(
-        "--max-sweeps-per-client", type=_positive_int, default=8, metavar="N",
-        help="per-client concurrent sweep quota (default 8)",
-    )
-    p_srv.add_argument(
-        "--batch-size", type=_positive_int, default=None, metavar="N",
-        help="cells per engine batch (default: 2 x jobs; smaller batches "
-        "drain faster on shutdown)",
-    )
-    p_srv.add_argument(
-        "--retain", type=_positive_int, default=64, metavar="N",
-        help="finished sweeps kept in memory for attach/replay (default 64; "
-        "older sweeps fall back to their on-disk journals)",
-    )
-
-    p_sub = sub.add_parser(
-        "submit", help="submit a sweep grid to a running `repro serve` and wait"
-    )
-    p_sub.add_argument(
-        "--server", default=f"127.0.0.1:{DEFAULT_PORT}", metavar="HOST:PORT",
-        help=f"service endpoint (default 127.0.0.1:{DEFAULT_PORT})",
-    )
-    p_sub.add_argument(
-        "--client", default=None, metavar="NAME",
-        help="client name for quotas/attribution (default: user@host)",
-    )
-    p_sub.add_argument(
-        "--spec", default=None, metavar="FILE",
-        help="take the whole grid from an experiment spec file; the grid "
-        "flags below are ignored when this is given (DESIGN.md §H)",
-    )
-    p_sub.add_argument(
-        "--apps", nargs="+", default=None, metavar="APP",
-        help="workloads to sweep (default: all)",
-    )
-    p_sub.add_argument(
-        "--policies", nargs="+", default=None, metavar="POLICY",
-        type=_policy_name, choices=sorted(POLICY_REGISTRY),
-        help="policies to sweep (default: shared, static-equal, throughput, model-based)",
-    )
-    p_sub.add_argument(
-        "--seeds", nargs="+", type=int, default=[1], metavar="SEED",
-        help="workload seeds to sweep",
-    )
-    p_sub.add_argument(
-        "--thread-counts", nargs="+", type=int, default=[4], metavar="N",
-        help="core/thread counts to sweep",
-    )
-    p_sub.add_argument(
-        "--baseline", default=None,
-        help="policy speedups are measured against (default: shared if swept)",
-    )
-    p_sub.add_argument("--intervals", type=int, default=50, help="execution intervals")
-    p_sub.add_argument(
-        "--interval-instructions", type=int, default=20_000,
-        help="instructions per thread per interval",
-    )
-    p_sub.add_argument(
-        "--cache-backend", default="fast", choices=CACHE_BACKEND_NAMES,
-        help="shared-L2 implementation (must match other submitters for "
-        "coalescing: the backend is part of the cell identity)",
-    )
-    p_sub.add_argument(
-        "--no-resume", action="store_true",
-        help="start the sweep fresh even if the service holds a resumable "
-        "journal for this grid",
-    )
-    p_sub.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="per-request socket timeout in seconds (default 600)",
-    )
-    p_sub.add_argument("--json", action="store_true", help="emit JSON instead of ASCII")
-    p_sub.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print the live event stream to stderr while waiting",
-    )
 
     p_wk = sub.add_parser(
         "worker", help="run a distributed-sweep worker (DESIGN.md §G)"
@@ -667,12 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # parser.error(); keep main() returning an int
             return int(exc.code or 0)
 
-    if args.command == "serve":
-        return _serve_command(args)
-
-    if args.command == "submit":
-        return _submit_command(args)
-
     if args.command == "worker":
         return _worker_command(args)
 
@@ -726,6 +594,15 @@ def _trace_wrapped(args: argparse.Namespace, fn) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "sweep":
+        return _sweep_command(args)
+
+    try:
+        config = _config(args)
+    except ValueError as exc:  # e.g. more threads than the L2 has ways
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "run":
         if args.app not in list_workloads():
             print(
@@ -733,7 +610,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        config = _config(args)
         if args.trace:
             # A traced run must actually simulate — memo/store hits would
             # replay a stored RunResult and emit no interval events — so it
@@ -766,7 +642,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compare":
-        config = _config(args)
         apps = args.apps or list_workloads()
         unknown = [a for a in apps if a not in list_workloads()]
         if unknown:
@@ -777,7 +652,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure":
-        config = _config(args)
         if args.name == "fig22" and config.n_threads < 8:
             config = config.with_(n_threads=8)
         result = EXPERIMENTS[args.name](config)
@@ -789,32 +663,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         _report_execution(args)
         return 0
 
-    if args.command == "sweep":
-        return _sweep_command(args)
-
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 def _sweep_command(args: argparse.Namespace) -> int:
-    apps = args.apps or list_workloads()
-    unknown = [a for a in apps if a not in list_workloads()]
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    policies = args.policies or list(DEFAULT_POLICIES)
-    baseline = args.baseline
-    if baseline is not None and baseline not in policies:
-        print(
-            f"baseline {baseline!r} is not among the swept policies: "
-            f"{', '.join(policies)}",
-            file=sys.stderr,
-        )
-        return 2
-    config = SystemConfig.default().with_(
-        n_intervals=args.intervals,
-        interval_instructions=args.interval_instructions,
-        cache_backend=args.cache_backend,
-    )
+    grid = args.grid  # built and validated by _validate_sweep
     from repro.experiments.runner import current_engine, current_store
 
     # Interrupt protocol: SIGINT/SIGTERM stop the sweep *cleanly* — the
@@ -831,14 +684,14 @@ def _sweep_command(args: argparse.Namespace) -> int:
         old_int = old_term = None
     try:
         result = run_sweep(
-            apps,
-            policies,
-            seeds=args.seeds,
-            thread_counts=args.thread_counts,
-            config=config,
+            grid.apps,
+            grid.policies,
+            seeds=grid.seeds,
+            thread_counts=grid.thread_counts,
+            config=grid.config(),
             engine=current_engine(),
             store=current_store(),
-            baseline=baseline,
+            baseline=grid.baseline,
             journal=args.journal,
             resume=args.resume,
         )
@@ -986,39 +839,10 @@ def _compare_runs_command(args: argparse.Namespace) -> int:
     return comparison.exit_code
 
 
-def _serve_command(args: argparse.Namespace) -> int:
-    from repro.serve.runner import ServeSettings, run_server
-
-    if args.engine == "remote" and not args.workers:
-        print("serve: --engine remote requires --workers HOST:PORT[,...]", file=sys.stderr)
-        return 2
-    settings = ServeSettings(
-        host=args.host,
-        port=args.port,
-        data_dir=Path(args.data_dir),
-        jobs=args.jobs,
-        engine=args.engine,
-        workers=args.workers,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        prep_dir=Path(args.prep_dir) if args.prep_dir else None,
-        max_pending_cells=args.max_pending_cells,
-        max_active_sweeps=args.max_active_sweeps,
-        max_sweeps_per_client=args.max_sweeps_per_client,
-        batch_size=args.batch_size,
-        retain=args.retain,
-        port_file=Path(args.port_file) if args.port_file else None,
-    )
-    try:
-        return run_server(settings)
-    except OSError as exc:  # port in use, bad bind address, ...
-        print(f"serve: {exc}", file=sys.stderr)
-        return 1
-
-
 def _worker_command(args: argparse.Namespace) -> int:
     """``repro worker``: serve jobs until a signal, or probe via --ping."""
     from repro.dist import HandshakeError, WorkerServer, parse_worker_address, ping_worker
-    from repro.serve.runner import write_port_file
+    from repro.dist.worker import write_port_file
 
     if args.ping:
         try:
@@ -1071,130 +895,6 @@ def _worker_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _default_client_name() -> str:
-    import getpass
-    import socket
-
-    try:
-        user = getpass.getuser()
-    except (KeyError, OSError):  # no passwd entry (containers)
-        user = "unknown"
-    return f"{user}@{socket.gethostname()}"
-
-
-def _submit_command(args: argparse.Namespace) -> int:
-    from repro.serve.client import Backpressure, ServeClient, ServeError
-
-    host, _, port = args.server.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"submit: --server must be HOST:PORT, got {args.server!r}", file=sys.stderr)
-        return 2
-    client = ServeClient(host, int(port), timeout=args.timeout)
-    if args.spec is not None:
-        from repro.spec import SpecError, load_spec
-
-        try:
-            grid = load_spec(args.spec).grid
-        except SpecError as exc:
-            for problem in exc.problems:
-                print(f"submit: {problem}", file=sys.stderr)
-            return 2
-        request = {
-            **grid.to_dict(),
-            "client": args.client or _default_client_name(),
-            "resume": not args.no_resume,
-        }
-    else:
-        request = {
-            "apps": args.apps or list_workloads(),
-            "policies": args.policies or list(DEFAULT_POLICIES),
-            "seeds": args.seeds,
-            "thread_counts": args.thread_counts,
-            "intervals": args.intervals,
-            "interval_instructions": args.interval_instructions,
-            "cache_backend": args.cache_backend,
-            "client": args.client or _default_client_name(),
-            "resume": not args.no_resume,
-        }
-        if args.baseline is not None:
-            request["baseline"] = args.baseline
-    try:
-        submission = client.submit(request)
-        sweep_id = submission["sweep_id"]
-        if args.verbose:
-            verb = "attached to" if submission.get("attached") else "submitted"
-            print(
-                f"submit: {verb} sweep {sweep_id[:12]} "
-                f"({submission['total_cells']} cells; "
-                f"resumed={submission.get('resumed', 0)} "
-                f"store={submission.get('store_hits', 0)} "
-                f"coalesced={submission.get('coalesced', 0)} "
-                f"scheduled={submission.get('scheduled', 0)})",
-                file=sys.stderr,
-            )
-            for event in client.events(sweep_id):
-                if event.get("event") == "cell":
-                    print(
-                        f"submit: [{event['completed']}/{event['total']}] "
-                        f"{event['app']}/{event['policy']} seed={event['seed']} "
-                        f"t={event['n_threads']} source={event['source']}"
-                        + ("" if event["ok"] else f" ERROR: {event['error']}"),
-                        file=sys.stderr,
-                    )
-        final = client.wait(sweep_id)
-    except Backpressure as exc:
-        print(
-            f"submit: service is at capacity ({exc}); retry in "
-            f"{exc.retry_after_s:.0f}s",
-            file=sys.stderr,
-        )
-        return 3
-    except ServeError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 1
-    except (ConnectionError, TimeoutError, OSError) as exc:
-        print(
-            f"submit: cannot reach service at {args.server}: {exc} "
-            "(is `repro serve` running?)",
-            file=sys.stderr,
-        )
-        return 1
-
-    status = final.get("status")
-    if args.json:
-        json.dump(final, sys.stdout, indent=2)
-        print()
-    elif status == "done":
-        result = final.get("result", {})
-        print(_format_submit_result(final, result))
-    else:
-        print(f"submit: sweep {final['sweep_id'][:12]} ended with status {status!r}")
-    if status != "done":
-        return 1
-    return 0 if not final.get("failures") else 1
-
-
-def _format_submit_result(final: dict, result: dict) -> str:
-    """Human summary of a completed service sweep (mirrors the tail of
-    ``SweepResult.format()`` without needing the cells client-side)."""
-    lines = [
-        f"sweep {final['sweep_id'][:12]}: {final['completed']}/{final['total_cells']} "
-        f"cells in {final['wall_s']:.2f}s "
-        f"(executed={final['executed']} store={final['store_hits']} "
-        f"coalesced={final['coalesced']} resumed={final['resumed']})",
-    ]
-    speedups = result.get("mean_speedups") or {}
-    baseline = result.get("baseline")
-    if speedups:
-        lines.append(f"mean speedup over {baseline}:")
-        for policy, per_app in sorted(speedups.items()):
-            apps = " ".join(f"{app}={val:+.1%}" for app, val in sorted(per_app.items()))
-            lines.append(f"  {policy:<18} {apps}")
-    if final.get("failures"):
-        lines.append(f"failures: {final['failures']}")
-    return "\n".join(lines)
 
 
 def _interrupted_sweep(args: argparse.Namespace, signame: str) -> int:

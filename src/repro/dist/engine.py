@@ -151,9 +151,7 @@ class RemoteEngine(ExecutionEngine):
     ----------
     workers:
         Worker addresses (``"host:port"`` strings or ``(host, port)``
-        pairs); at least one.  ``jobs`` — the engine's parallelism as the
-        serve layer's admission control sees it — is the number of
-        addresses.
+        pairs); at least one.
     connect_timeout_s / io_timeout_s:
         Socket budgets for establishing a link and for one frame
         round-trip.  A worker that blows ``io_timeout_s`` mid-job is
@@ -190,7 +188,6 @@ class RemoteEngine(ExecutionEngine):
         self.addresses = [parse_worker_address(w) for w in workers]
         if not self.addresses:
             raise ValueError("RemoteEngine needs at least one worker address")
-        self.jobs = len(self.addresses)
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
         self.registry = WorkerRegistry()

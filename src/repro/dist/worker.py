@@ -31,6 +31,7 @@ import os
 import socket
 import threading
 import time
+from pathlib import Path
 
 from repro.dist import codec
 from repro.dist.protocol import (
@@ -43,7 +44,24 @@ from repro.exec.engine import execute_job
 from repro.exec.faults import FaultPlan, fire_job_faults, get_fault_plan, set_fault_plan
 from repro.obs.metrics import METRICS
 
-__all__ = ["WorkerServer"]
+__all__ = ["WorkerServer", "write_port_file"]
+
+
+def write_port_file(path: str | Path | None, port: int) -> None:
+    """Publish a bound port to ``path`` (no-op for None), the readiness
+    signal of ``repro worker``.
+
+    A supervisor may send SIGTERM the moment the file appears, so callers
+    install their signal handlers *before* calling this.  The write is
+    atomic (temp file + rename): a poller never reads a partial port.
+    """
+    if path is None:
+        return
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    tmp.write_text(f"{port}\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 class WorkerServer:

@@ -24,8 +24,8 @@ execution keeps it:
   counter), so an ineligible cell pays zero batching overhead.
 
 Engines fan a unit's results back out into per-cell
-:class:`~repro.exec.jobs.JobOutcome`\\ s, so the journal, result store,
-coalescer, and spec comparator never see batches.  A unit that fails as
+:class:`~repro.exec.jobs.JobOutcome`\\ s, so the journal, result store
+and spec comparator never see batches.  A unit that fails as
 a whole is *decomposed*: its cells re-enter the normal per-job retry
 path with their full attempt budget (``batch.failed`` counter).
 """

@@ -1,11 +1,9 @@
 """Canonical sweep-grid construction, shared by every entry point.
 
 A sweep grid — apps × policies × seeds × thread-counts over a scaled
-:class:`~repro.sim.config.SystemConfig` — used to be assembled three
-times: by the ``sweep`` CLI from argparse flags, by the serve layer from
-a JSON submission, and implicitly by every script that shelled out to
-either.  :class:`SweepGrid` is the one builder all of them (and the
-declarative specs in :mod:`repro.spec`) now share, so defaulting,
+:class:`~repro.sim.config.SystemConfig` — is built by the ``sweep`` CLI
+from argparse flags and by the declarative specs in :mod:`repro.spec`.
+:class:`SweepGrid` is the one builder both share, so defaulting,
 validation, cell ordering and the grid's content address are decided in
 exactly one place.  The contract the rest of the system leans on:
 
@@ -18,9 +16,9 @@ exactly one place.  The contract the rest of the system leans on:
   axes with a :class:`GridError` whose message names the offending field
   (``grid.thread_counts[2]: expected int >= 1``), the error style the
   spec schema and the CLI both surface verbatim;
-* **identity** — :meth:`grid_key` / :attr:`digest` are the same values
-  ``repro sweep --journal`` stamps into journal headers and the serve
-  layer uses as the sweep id, so grids built anywhere agree on identity.
+* **identity** — :meth:`grid_key` / :attr:`digest` are the values
+  ``repro sweep --journal`` and ``repro run-spec`` stamp into journal
+  headers, so grids built anywhere agree on identity.
 """
 
 from __future__ import annotations
@@ -97,7 +95,8 @@ class SweepGrid:
         ``None`` axes take their documented defaults (all workloads, the
         four headline policies, seed 1, four threads).  Policy aliases
         are normalised.  Any violation raises :class:`GridError` with a
-        ``path``-rooted field path.
+        ``path``-rooted field path — including a thread count the grid's
+        L2 cannot give one way per thread.
         """
         from repro.partition import POLICY_REGISTRY
         from repro.trace.workloads import list_workloads
@@ -158,7 +157,7 @@ class SweepGrid:
                 f"{path}.cache_backend",
                 f"expected one of {', '.join(CACHE_BACKEND_NAMES)}, got {cache_backend!r}",
             )
-        return cls(
+        grid = cls(
             apps=apps,
             policies=policies,
             seeds=tuple(int(s) for s in seeds),
@@ -168,13 +167,22 @@ class SweepGrid:
             interval_instructions=int(interval_instructions),
             cache_backend=cache_backend,
         )
+        # SystemConfig owns the L2-capacity rule; every other field of the
+        # grid's config is valid by now, so its error names the count.
+        base = grid.config()
+        for index, count in enumerate(grid.thread_counts):
+            try:
+                base.with_(n_threads=count)
+            except ValueError as exc:
+                raise GridError(f"{path}.thread_counts[{index}]", str(exc)) from None
+        return grid
 
     # -- compilation ----------------------------------------------------
 
     def config(self) -> SystemConfig:
         """The base config the grid varies (``seed`` / ``n_threads`` are
         overridden per cell) — identical across every entry point so cell
-        digests, store keys and coalescing agree."""
+        digests and store keys agree."""
         return SystemConfig.default().with_(
             n_intervals=self.intervals,
             interval_instructions=self.interval_instructions,
@@ -182,8 +190,8 @@ class SweepGrid:
         )
 
     def grid_key(self) -> dict:
-        """Journal/serve identity of this grid (includes the simulator
-        version; see :func:`repro.exec.sweep.grid_key`)."""
+        """Journal identity of this grid (includes the simulator version;
+        see :func:`repro.exec.sweep.grid_key`)."""
         from repro.exec.sweep import grid_key
 
         return grid_key(

@@ -50,7 +50,7 @@ class JobSpec:
         """SHA-256 hex digest of :meth:`canonical_json` — the store key.
 
         Cached: the spec is frozen, and hot paths (store lookups, journal
-        keys, the service's admission count) ask repeatedly.
+        keys) ask repeatedly.
         """
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 

@@ -11,10 +11,10 @@ there is no index to maintain or corrupt: a lookup is a single read.
 
 The store's *persistence* is a pluggable :class:`repro.exec.backend
 .StoreBackend` — the default :class:`~repro.exec.backend.LocalDirBackend`
-keeps the historical on-disk layout byte-for-byte, while distributed
-workers plug in a proxied backend that ships the same keys over a socket.
-Three rules keep any backend safe to share between invocations (and
-between processes writing concurrently):
+keeps the historical on-disk layout byte-for-byte, and tests plug in the
+in-memory :class:`~repro.exec.backend.MemoryBackend`.  Three rules keep
+any backend safe to share between invocations (and between processes
+writing concurrently):
 
 * **atomic publish** — the backend's ``write`` is atomic, so a reader
   never sees a half-written payload and concurrent writers of the same
@@ -95,7 +95,7 @@ class ResultStore:
 
     def path_for(self, spec: JobSpec) -> Path:
         """Where a local-dir backend files ``spec`` (path arithmetic only;
-        proxied backends have no local file here)."""
+        a memory backend has no local file here)."""
         digest = spec.digest
         return self.version_dir / digest[:2] / f"{digest}.json"
 
@@ -136,8 +136,8 @@ class ResultStore:
         Safe under concurrent writers of the same key: the backend's
         write is atomic and every writer of one digest carries identical
         bytes, so the entry holds one writer's complete payload whoever
-        wins.  Returns where a local backend filed it (nominal for
-        proxied backends).
+        wins.  Returns where a local backend filed it (nominal for a
+        memory backend).
         """
         payload = {
             "version": self.version,
@@ -159,7 +159,7 @@ class ResultStore:
         is at most milliseconds old and is left alone.  Returns the
         count removed (also accumulated in ``stale_swept`` and the
         ``store.stale_swept`` metric).  Backends without staging residue
-        (memory, proxied) always report zero.
+        (memory) always report zero.
         """
         ttl = self.stale_ttl_s if ttl_s is None else ttl_s
         removed = self.backend.sweep_stale(f"v{self.version}", ttl)

@@ -231,11 +231,7 @@ def grid_key(
 ) -> dict:
     """Identity of a sweep for journal compatibility: everything that
     shapes the grid's JobSpecs, plus the simulator version (a version
-    bump changes results, so resuming across one would mix outputs).
-
-    ``repro.serve`` content-addresses whole sweeps by the digest of this
-    key, so two clients submitting the same grid share one sweep.
-    """
+    bump changes results, so resuming across one would mix outputs)."""
     return {
         "apps": list(apps),
         "policies": list(policies),
@@ -256,9 +252,9 @@ def expand_grid(
 ) -> list[JobSpec]:
     """Expand the grid into JobSpecs in the canonical sweep order
     (apps x policies x seeds x thread-counts, outermost first).  Every
-    consumer of a grid — ``run_sweep`` and the serve layer — must use
-    this expansion so cell ordering (and therefore aggregate bytes) is
-    identical everywhere."""
+    consumer of a grid — ``run_sweep`` and :class:`~repro.exec.grid
+    .SweepGrid` — must use this expansion so cell ordering (and therefore
+    aggregate bytes) is identical everywhere."""
     return [
         JobSpec(app, policy, config.with_(seed=seed, n_threads=n_threads))
         for app in apps

@@ -32,12 +32,9 @@ from repro.obs.events import (
     MetricsEvent,
     RepartitionEvent,
     RetryEvent,
-    ServeDrainEvent,
     SpanEvent,
     StoreHitEvent,
     StoreMissEvent,
-    SweepRejectedEvent,
-    SweepSubmittedEvent,
 )
 from repro.obs.export import chrome_trace, read_events, summarize, write_chrome_trace
 from repro.obs.metrics import METRICS, Counter, Gauge, Metrics, Timer
@@ -71,12 +68,9 @@ __all__ = [
     "RecordingTracer",
     "RepartitionEvent",
     "RetryEvent",
-    "ServeDrainEvent",
     "SpanEvent",
     "StoreHitEvent",
     "StoreMissEvent",
-    "SweepRejectedEvent",
-    "SweepSubmittedEvent",
     "Timer",
     "Tracer",
     "chrome_trace",

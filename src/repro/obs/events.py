@@ -23,12 +23,7 @@ Two event families exist (DESIGN.md §B):
   execution, ``fault_injected`` when an active
   :class:`~repro.exec.faults.FaultPlan` fires an injector,
   ``interrupt`` when a sweep is stopped by SIGINT/SIGTERM, plus generic
-  ``span`` phase timings and a final ``metrics`` registry snapshot;
-* **service events**, emitted by the ``repro serve`` front-end —
-  ``sweep_submitted`` (admitted or attached submissions, with the
-  resolution split: resumed/store/coalesced/scheduled),
-  ``sweep_rejected`` (admission-control backpressure) and
-  ``serve_drain`` (a signal began the graceful shutdown).
+  ``span`` phase timings and a final ``metrics`` registry snapshot.
 """
 
 from __future__ import annotations
@@ -49,12 +44,9 @@ __all__ = [
     "MetricsEvent",
     "RepartitionEvent",
     "RetryEvent",
-    "ServeDrainEvent",
     "SpanEvent",
     "StoreHitEvent",
     "StoreMissEvent",
-    "SweepRejectedEvent",
-    "SweepSubmittedEvent",
     "WorkerJoinEvent",
     "WorkerLostEvent",
 ]
@@ -219,54 +211,6 @@ class StoreMissEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class SweepSubmittedEvent(TraceEvent):
-    """The sweep service admitted (or attached) one submission.
-
-    ``attached`` means the grid content-addressed to a sweep already
-    known to the service, so no new work was created at all; otherwise
-    the counts say how the grid resolved: ``resumed`` from the sweep's
-    journal, ``store_hits`` from the result store, ``coalesced`` onto
-    cells another sweep already has in flight, ``scheduled`` as new
-    engine work."""
-
-    kind: ClassVar[str] = "sweep_submitted"
-
-    sweep_id: str
-    client: str
-    cells: int
-    attached: bool = False
-    resumed: int = 0
-    store_hits: int = 0
-    coalesced: int = 0
-    scheduled: int = 0
-
-
-@dataclass(frozen=True)
-class SweepRejectedEvent(TraceEvent):
-    """Admission control turned a submission away (HTTP 429): the queue
-    bound, the per-client quota, or the global sweep cap."""
-
-    kind: ClassVar[str] = "sweep_rejected"
-
-    client: str
-    reason: str
-    retry_after_s: float
-
-
-@dataclass(frozen=True)
-class ServeDrainEvent(TraceEvent):
-    """The service began a graceful drain on a signal: in-flight cells
-    finish and are journaled, queued cells are released for a later
-    resume."""
-
-    kind: ClassVar[str] = "serve_drain"
-
-    signal: str
-    active_sweeps: int
-    backlog: int
-
-
-@dataclass(frozen=True)
 class WorkerJoinEvent(TraceEvent):
     """A remote worker completed the protocol handshake for a batch."""
 
@@ -336,9 +280,6 @@ EVENT_KINDS: dict[str, type[TraceEvent]] = {
         InterruptEvent,
         StoreHitEvent,
         StoreMissEvent,
-        SweepSubmittedEvent,
-        SweepRejectedEvent,
-        ServeDrainEvent,
         WorkerJoinEvent,
         WorkerLostEvent,
         JobShippedEvent,

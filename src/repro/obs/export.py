@@ -118,7 +118,6 @@ def chrome_trace(records: list[dict]) -> list[dict]:
         elif kind in (
             "job_start", "retry", "store_hit", "store_miss", "metrics",
             "engine_degraded", "fault_injected", "interrupt",
-            "sweep_submitted", "sweep_rejected", "serve_drain",
             "worker_join", "worker_lost", "job_shipped",
         ):
             args = {k: v for k, v in rec.items() if k not in ("kind", "ts")}
@@ -290,36 +289,6 @@ def summarize(records: list[dict], *, top: int = 5) -> str:
             total = sum(durs)
             share = total / grand if grand > 0 else 0.0
             lines.append(f"  {name:<24} {total:8.3f}s  {share:5.1%}  ({len(durs)} span(s))")
-
-    submitted = [r for r in records if r["kind"] == "sweep_submitted"]
-    rejected = [r for r in records if r["kind"] == "sweep_rejected"]
-    drains = [r for r in records if r["kind"] == "serve_drain"]
-    if submitted or rejected or drains:
-        lines.append("")
-        attached = sum(1 for r in submitted if r.get("attached"))
-        lines.append(
-            f"service: {len(submitted)} submission(s) ({attached} attached), "
-            f"{len(rejected)} rejected"
-        )
-        fresh = [r for r in submitted if not r.get("attached")]
-        if fresh:
-            resolved = {
-                "resumed": sum(r.get("resumed", 0) for r in fresh),
-                "store": sum(r.get("store_hits", 0) for r in fresh),
-                "coalesced": sum(r.get("coalesced", 0) for r in fresh),
-                "scheduled": sum(r.get("scheduled", 0) for r in fresh),
-            }
-            detail = ", ".join(f"{k}={v}" for k, v in resolved.items())
-            lines.append(f"  cell resolution: {detail}")
-        if rejected:
-            by_reason = TallyCounter(r["reason"] for r in rejected)
-            detail = ", ".join(f"{k}={v}" for k, v in by_reason.most_common())
-            lines.append(f"  rejections: {detail}")
-        for r in drains:
-            lines.append(
-                f"  drained on {r['signal']}: {r['active_sweeps']} active sweep(s), "
-                f"backlog {r['backlog']} released for resume"
-            )
 
     hits = kinds.get("store_hit", 0)
     misses = kinds.get("store_miss", 0)

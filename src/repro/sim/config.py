@@ -31,7 +31,7 @@ from repro.cpu.timing import TimingModel
 __all__ = ["CACHE_BACKEND_NAMES", "SystemConfig"]
 
 #: Every accepted ``SystemConfig.cache_backend`` — the CLI, the spec
-#: schema, the grid builder and the service validate against this tuple.
+#: schema and the grid builder validate against this tuple.
 CACHE_BACKEND_NAMES = ("fast", "reference", "batch")
 
 

@@ -37,7 +37,8 @@ from repro.obs.metrics import METRICS
 __all__ = ["CellDiff", "RunComparison", "compare_runs"]
 
 METRIC_NAMES = ("total_cycles", "l2_misses")
-_NAMESPACE_RE = re.compile(r"^v[0-9][0-9A-Za-z.+-]*$")
+# ``v<release><suffix>``; group 1 is the dotted integer release.
+_NAMESPACE_RE = re.compile(r"^v((?:[0-9]+\.)*[0-9]+)[0-9A-Za-z.+-]*$")
 
 EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
@@ -150,12 +151,20 @@ def _incomparable(reason: str, a: Path, b: Path, namespace: str | None = None):
     )
 
 
+def _release_order(namespace: str) -> tuple:
+    """Sort key for a namespace: the integers of its dotted release, so
+    ``v1.10.0`` sorts after ``v1.9.0``; ties break by name."""
+    release = _NAMESPACE_RE.match(namespace).group(1)
+    return tuple(int(part) for part in release.split(".")), namespace
+
+
 def _namespaces(root: Path) -> list[str]:
     if not root.is_dir():
         return []
     return sorted(
-        entry.name for entry in root.iterdir()
-        if entry.is_dir() and _NAMESPACE_RE.match(entry.name)
+        (entry.name for entry in root.iterdir()
+         if entry.is_dir() and _NAMESPACE_RE.match(entry.name)),
+        key=_release_order,
     )
 
 
@@ -217,7 +226,7 @@ def compare_runs(
                 f"store {side} is empty (no version namespace under {root})",
                 a_root, b_root,
             )
-    common = sorted(set(spaces_a) & set(spaces_b))
+    common = sorted(set(spaces_a) & set(spaces_b), key=_release_order)
     if not common:
         return _incomparable(
             "no common version namespace "

@@ -201,112 +201,3 @@ def test_sigterm_is_handled_like_sigint(tmp_path):
     assert victim.returncode == 130
     assert "interrupted by SIGTERM" in victim.stderr.read()
     assert _run_cli(_sweep_argv(journal, jobs=1, faults=False, resume=True))["n_failures"] == 0
-
-
-# ----------------------------------------------------------------------
-# Service chaos: SIGTERM a loaded `repro serve`, demand a clean drain
-# (exit 0), a resumable journal, and byte-identical aggregates after the
-# next incarnation finishes the sweep.
-# ----------------------------------------------------------------------
-
-SERVE_GRID = {
-    "apps": ["ft", "cg"],
-    "policies": ["shared", "static-equal"],
-    "intervals": 30,
-    "interval_instructions": 8000,
-}
-
-
-def _start_serve(tmp_path: Path, data_dir: Path) -> tuple[subprocess.Popen, int]:
-    """Launch `repro serve` on a free port; returns (process, port)."""
-    port_file = tmp_path / f"port-{os.urandom(4).hex()}"
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--port-file", str(port_file),
-            "--data-dir", str(data_dir), "--batch-size", "1",
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=_env(),
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if port_file.is_file() and port_file.read_text().strip():
-            return proc, int(port_file.read_text().strip())
-        if proc.poll() is not None:
-            raise AssertionError(f"serve died at startup: {proc.stdout.read()}")
-        time.sleep(0.02)
-    proc.kill()
-    raise AssertionError("serve did not write its port file in time")
-
-
-def test_serve_sigterm_under_load_drains_cleanly_then_resumes(tmp_path):
-    from repro.serve.client import ServeClient
-    from repro.serve.protocol import SweepRequest
-
-    data_dir = tmp_path / "serve-data"
-    sweep_id = SweepRequest.from_dict(SERVE_GRID).sweep_id
-    journal = data_dir / "journals" / f"{sweep_id}.jsonl"
-
-    proc, port = _start_serve(tmp_path, data_dir)
-    try:
-        submission = ServeClient(port=port).submit(SERVE_GRID)
-        assert submission["sweep_id"] == sweep_id
-        # SIGTERM once at least one cell is durably journaled — mid-sweep.
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if _journal_cells(journal) >= 1:
-                proc.send_signal(signal.SIGTERM)
-                break
-            time.sleep(0.005)
-        proc.wait(timeout=120)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-    output = proc.stdout.read()
-    # The drain contract: exit 0 (not 130 — nothing was lost, the service
-    # finished its in-flight batch and released the rest for resume).
-    assert proc.returncode == 0, output
-    assert "draining (SIGTERM)" in output and "drained cleanly" in output
-
-    completed = _journal_cells(journal)
-    assert 1 <= completed < 4, "the SIGTERM must land mid-sweep"
-    # Crash-safety invariant: the journal ends on a record boundary.
-    assert journal.read_bytes().endswith(b"\n")
-
-    # Next incarnation, same data dir: the sweep resumes from the journal
-    # and completes without recomputing the journaled cells.
-    proc, port = _start_serve(tmp_path, data_dir)
-    try:
-        final = ServeClient(port=port).run({**SERVE_GRID, "client": "resumer"})
-        assert final["status"] == "done"
-        assert final["resumed"] == completed
-        assert final["executed"] == 4 - completed
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=120)
-    assert proc.returncode == 0
-
-    # Byte-identity across the kill: the service's aggregates equal an
-    # uninterrupted `repro sweep` of the same grid.
-    control = _run_cli(
-        [
-            sys.executable, "-m", "repro", "sweep",
-            "--apps", *SERVE_GRID["apps"],
-            "--policies", *SERVE_GRID["policies"],
-            "--intervals", str(SERVE_GRID["intervals"]),
-            "--interval-instructions", str(SERVE_GRID["interval_instructions"]),
-            "--jobs", "1", "--json",
-        ]
-    )
-    for key in AGG_KEYS:
-        assert json.dumps(final["result"][key], sort_keys=True) == json.dumps(
-            control[key], sort_keys=True
-        ), f"aggregate {key!r} diverged across the service kill/resume"
-
-
-def test_serve_idle_sigterm_exits_zero_immediately(tmp_path):
-    proc, _port = _start_serve(tmp_path, tmp_path / "serve-data")
-    proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=60)
-    assert proc.returncode == 0
-    assert "drained cleanly" in proc.stdout.read()

@@ -67,6 +67,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_removed_service_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 QUICK = ["--intervals", "6", "--interval-instructions", "3000"]
 
@@ -257,11 +264,59 @@ class TestSweepCommand:
 
     def test_sweep_rejects_unknown_app_and_baseline(self, capsys):
         assert main(["sweep", "--apps", "nope"]) == 2
-        assert "unknown workloads" in capsys.readouterr().err
+        assert "sweep.apps[0]" in capsys.readouterr().err
         assert main([
             "sweep", "--apps", "ft", "--policies", "shared", "--baseline", "model-based",
         ]) == 2
         assert "baseline" in capsys.readouterr().err
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``main``'s exit status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_CONFIG_COMMANDS = pytest.mark.parametrize(
+    "command", [["run", "ft"], ["compare", "ft"], ["figure", "fig2"]],
+    ids=["run", "compare", "figure"],
+)
+
+
+class TestOutOfRangeConfigExits2:
+    """WHEN a flag asks for a config the simulator cannot build THEN the
+    command exits 2 with a one-line message, never a traceback."""
+
+    @_CONFIG_COMMANDS
+    @pytest.mark.parametrize(
+        "flag", ["--threads", "--intervals", "--interval-instructions"]
+    )
+    def test_when_count_below_one_then_usage_error(self, command, flag, capsys):
+        assert _exit_code([*command, flag, "0"]) == 2
+        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+    @_CONFIG_COMMANDS
+    def test_when_l2_cannot_hold_the_threads_then_exit_2(self, command, capsys):
+        assert _exit_code([*command, "--threads", "40"]) == 2
+        err = capsys.readouterr().err
+        assert f"{command[0]}: L2 has 32 ways; too few for 40 threads" in err
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--thread-counts", "0"], "sweep.thread_counts[0]: expected int >= 1"),
+            (["--thread-counts", "4", "40"],
+             "sweep.thread_counts[1]: L2 has 32 ways; too few for 40 threads"),
+            (["--intervals", "0"], "sweep.intervals: expected int >= 1, got 0"),
+        ],
+        ids=["thread-counts-0", "thread-counts-40", "intervals-0"],
+    )
+    def test_when_sweep_axis_out_of_range_then_exit_2(self, flags, message, capsys):
+        assert main(["sweep", "--apps", "ft", "--policies", "shared", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "usage:" in err
 
 
 class TestRunnerLayer:
@@ -352,13 +407,6 @@ class TestCrashSafetyCli:
         err = capsys.readouterr().err
         assert "faults-injected=2" in err
 
-
-class TestServeCli:
-    """`repro serve` / `repro submit` parsing plus the argparse-level
-    sweep validation (satellites of the service PR)."""
-
-    SWEEP = TestCrashSafetyCli.SWEEP
-
     def test_journal_must_not_be_a_directory(self, tmp_path, capsys):
         assert main([*self.SWEEP, "--journal", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -368,64 +416,3 @@ class TestServeCli:
         assert main([*self.SWEEP, "--resume"]) == 2
         err = capsys.readouterr().err
         assert "--resume requires --journal" in err and "usage:" in err
-
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.port == 8787
-        assert args.data_dir == "serve-data"
-        assert args.jobs == 1
-        assert args.max_pending_cells == 512
-        assert args.max_sweeps_per_client == 8
-
-    def test_serve_rejects_bad_limits(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["serve", "--max-pending-cells", "0"])
-        assert exc.value.code == 2
-
-    def test_submit_defaults_mirror_sweep(self):
-        args = build_parser().parse_args(["submit"])
-        assert args.server == "127.0.0.1:8787"
-        assert args.seeds == [1]
-        assert args.thread_counts == [4]
-        assert args.cache_backend == "fast"
-        assert not args.no_resume
-
-    def test_submit_policy_aliases_normalised(self):
-        args = build_parser().parse_args(["submit", "--policies", "equal", "model"])
-        assert args.policies == ["static-equal", "model-based"]
-
-    def test_submit_bad_server_exits_2(self, capsys):
-        assert main(["submit", "--server", "nonsense"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_submit_unreachable_server_exits_1(self, capsys):
-        # Port 1 is never listening; the failure must be a message, not
-        # a traceback.
-        assert main([
-            "submit", "--server", "127.0.0.1:1", "--apps", "ft",
-            "--policies", "shared", "--timeout", "2",
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "cannot reach service" in err and "repro serve" in err
-
-    def test_submit_against_live_service(self, tmp_path, capsys):
-        from repro.serve.runner import ServeSettings, start_in_thread
-
-        settings = ServeSettings(port=0, data_dir=tmp_path / "data", jobs=1)
-        handle = start_in_thread(settings)
-        try:
-            argv = [
-                "submit", "--server", f"127.0.0.1:{handle.port}",
-                "--apps", "ft", "--policies", "shared", "static-equal",
-                "--intervals", "3", "--interval-instructions", "2000",
-            ]
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            assert "2/2 cells" in out and "mean speedup over shared" in out
-            # Second submission: same grid, runs warm (attach or store).
-            assert main([*argv, "--json"]) == 0
-            data = json.loads(capsys.readouterr().out)
-            assert data["status"] == "done"
-            assert data["result"]["n_failures"] == 0
-        finally:
-            handle.stop()

@@ -187,6 +187,18 @@ class TestIncomparable:
         assert "different simulator versions" in comparison.reason
         assert "v0.0.1" in comparison.reason
 
+    def test_when_stores_share_two_releases_then_the_newest_is_compared(self, tmp_path):
+        """WHEN both stores hold ``v1.9.0`` and ``v1.10.0`` THEN the diff
+        runs in ``v1.10.0``: releases order by their integers, not as
+        strings."""
+        for root in (tmp_path / "a", tmp_path / "b"):
+            for version in ("1.9.0", "1.10.0"):
+                store = ResultStore(root, version=version)
+                for spec in GRID.specs():
+                    store.put(spec, _result(spec))
+        comparison = compare_runs(tmp_path / "a", tmp_path / "b")
+        assert comparison.namespace == "v1.10.0"
+
     def test_foreign_grid_is_refused_not_clean(self, tmp_path):
         _populate(tmp_path / "a")
         _populate(tmp_path / "b")

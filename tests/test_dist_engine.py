@@ -132,10 +132,6 @@ class TestRemoteEngineBasics:
         engine, _ = fleet
         assert engine.run([]) == []
 
-    def test_jobs_reflects_fleet_size(self, fleet):
-        engine, _ = fleet
-        assert engine.jobs == 2
-
     def test_unreachable_fleet_degrades_not_raises(self):
         engine = RemoteEngine(
             ["127.0.0.1:1", "127.0.0.1:2"], connect_timeout_s=0.5

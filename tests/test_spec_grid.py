@@ -1,14 +1,13 @@
 """The grid-construction refactor's contract: one pure builder everywhere.
 
 :class:`repro.exec.grid.SweepGrid` is the single place a sweep grid is
-defaulted, validated and compiled; the CLI, the serve protocol and the
-spec schema all flow through it.  Pinned here:
+defaulted, validated and compiled; the CLI and the spec schema both
+flow through it.  Pinned here:
 
 * **purity** (hypothesis) — the same grid fields always compile to the
   same :attr:`JobSpec.digest` list, *order included*, across rebuilds;
-* **cross-entry-point identity** — a grid built from a spec document and
-  the identical grid submitted to the serve layer produce the same
-  sweep id, cell digests and cell order;
+* **cross-entry-point identity** — a grid's key carries the simulator
+  version, and its ``to_dict`` form rebuilds the same grid and digest;
 * **golden fixture** — the full compilation of ``specs/smoke.json``
   (grid digest + per-cell digests in order) is frozen in
   ``tests/golden/``; regenerate with ``REPRO_REGEN_GOLDEN=1`` and review
@@ -27,8 +26,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.exec.grid import GridError, SweepGrid
-from repro.serve.protocol import SweepRequest
-from repro.spec import load_spec, parse_spec
+from repro.spec import load_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -90,23 +88,6 @@ class TestPurity:
 
 
 class TestCrossEntryPointIdentity:
-    def test_spec_grid_equals_serve_request(self):
-        doc = {
-            "spec_version": 1,
-            "grid": {"apps": ["ft", "cg"], "policies": ["shared", "model-based"],
-                     "seeds": [1, 2], "thread_counts": [4]},
-            "config": {"intervals": 7, "interval_instructions": 4000},
-        }
-        grid = parse_spec(doc).grid
-        request = SweepRequest.from_dict({
-            "apps": ["ft", "cg"], "policies": ["shared", "model-based"],
-            "seeds": [1, 2], "thread_counts": [4],
-            "intervals": 7, "interval_instructions": 4000,
-        })
-        assert request.sweep_id == grid.digest
-        assert request.grid_key() == grid.grid_key()
-        assert [s.digest for s in request.specs()] == [s.digest for s in grid.specs()]
-
     def test_grid_key_includes_the_simulator_version(self):
         grid = SweepGrid.build(apps=["ft"], policies=["shared"])
         assert grid.grid_key()["version"] == repro.__version__

@@ -267,11 +267,18 @@ class TestCliExit2:
                      "--spec", str(path)]) == 2
         assert "spec.grid" in capsys.readouterr().err
 
-    def test_submit_rejects_bad_spec_before_connecting(self, tmp_path, capsys):
+    def test_when_l2_cannot_hold_the_thread_count_then_run_spec_exits_2(
+        self, tmp_path, capsys
+    ):
+        """WHEN a spec sweeps more threads than the L2 has ways THEN
+        ``run-spec`` exits 2 naming the field, before any work starts."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(_spec(grid={"apps": ["nope"]})))
-        assert main(["submit", "--server", "127.0.0.1:1", "--spec", str(path)]) == 2
-        assert "spec.grid.apps[0]" in capsys.readouterr().err
+        path.write_text(json.dumps(_spec(
+            grid={"apps": ["ft"], "policies": ["shared"], "thread_counts": [40]},
+        )))
+        assert main(["run-spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "spec.grid.thread_counts[0]: L2 has 32 ways; too few for 40 threads" in err
 
 
 # A generator of adversarial documents: structurally spec-shaped but with
