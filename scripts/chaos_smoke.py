@@ -8,8 +8,11 @@ outside the pytest harness, in two modes:
 
 1. run a small control sweep to completion (no journal) and keep its
    resume-invariant aggregates;
-2. run the same grid with ``--journal`` and SIGKILL the process once at
-   least one cell is durably journaled (genuinely mid-flight);
+2. run the same grid with ``--journal`` in its own process group and
+   SIGKILL the coordinator once at least one cell is durably journaled
+   (genuinely mid-flight); then SIGKILL the rest of the group — the pool
+   workers of a ``--jobs 2`` sweep outlive their coordinator otherwise —
+   and fail if any of it survives;
 3. ``--resume`` the journal and check that (a) every journaled cell was
    restored rather than recomputed and (b) the aggregates are
    byte-identical to the control's.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -121,6 +125,36 @@ def run_control(jobs: int) -> dict:
     )
 
 
+def live_group_members(pgid: int) -> list[int]:
+    """PIDs of the processes in group ``pgid`` that are not zombies."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        # After the parenthesised command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+def kill_group(pgid: int) -> list[int]:
+    """SIGKILL what is left of process group ``pgid``; return the PIDs
+    still alive (not zombies) after a grace period."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    deadline = time.monotonic() + 10
+    while (survivors := live_group_members(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return survivors
+
+
 def compare_aggregates(final: dict, control: dict) -> int:
     mismatched = [
         key
@@ -138,18 +172,26 @@ def sweep_mode(jobs: int) -> int:
     control = run_control(jobs)
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         journal = Path(tmp) / "sweep.jsonl"
+        # Its own session: the coordinator's pool workers join its group.
         victim = subprocess.Popen(
-            sweep_argv(jobs, journal), stdout=subprocess.DEVNULL
+            sweep_argv(jobs, journal), stdout=subprocess.DEVNULL, start_new_session=True
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             if journal_cells(journal) >= 2:
-                victim.send_signal(signal.SIGKILL)
+                victim.send_signal(signal.SIGKILL)  # the coordinator alone
                 break
             if victim.poll() is not None:
                 break
             time.sleep(0.005)
         victim.wait(timeout=60)
+        survivors = kill_group(victim.pid)
+        if survivors:
+            print(
+                f"error: processes {survivors} of the killed sweep's group survived",
+                file=sys.stderr,
+            )
+            return 1
         if victim.returncode != -signal.SIGKILL:
             print(
                 f"error: sweep finished (rc={victim.returncode}) before the "

@@ -3,15 +3,15 @@
 A sweep grid replays the *same* prepared program — same app, seed,
 thread count, L1-filtered stream arrays — once per policy/L2-geometry
 cell.  :func:`replay_batch` executes N such cells ("lanes") against one
-:class:`~repro.cpu.streams.CompiledProgram`: the per-access stream
-products (line indices, hit/miss cost vectors, instruction deltas) are
-materialised once as contiguous arrays straight off the (possibly
-mmapped) :mod:`repro.prep` views, per-lane cache and CPU state lives in
-stacked struct-of-arrays (``tags``/``owner``/``last``/``lru-stamp`` of
-shape ``[lanes, sets x ways]``, plus the line→slot map and per-(set,
-owner) LRU lists the kernel probes instead of scanning ways), and each
-lane's replay inner loop runs in the compiled C routine of
-:mod:`repro.cache.batchkernel`.
+:class:`~repro.cpu.streams.CompiledProgram`: the kernel reads the
+program's flat stream arrays (:mod:`repro.cpu.streams`) in place — on a
+warm run, the mmapped arrays of its :mod:`repro.prep` bundle, with no
+copy — and does the line shift and the hit/miss cost adds itself.
+Per-lane cache and CPU state lives in stacked struct-of-arrays
+(``tags``/``owner``/``last``/``lru-stamp`` of shape ``[lanes, sets x
+ways]``, plus the line→slot map and per-(set, owner) LRU lists the
+kernel probes instead of scanning ways), and each lane's replay inner
+loop runs in the compiled C routine of :mod:`repro.cache.batchkernel`.
 
 Lanes execute sequentially, each to completion — a deliberate deviation
 from per-access lane-vectorisation: NumPy's ~2.5 µs per-operator
@@ -19,7 +19,7 @@ dispatch on the ~20 operators a lane-parallel step needs was measured
 to lose to the fused Python fastpath below ~48 lanes, while the C lane
 kernel beats it by two orders of magnitude at any lane count (BENCH.md
 v1.9.0 records both).  Batching still amortises what is shared — one
-program prep, one stream materialisation, one state allocation — and
+program prep, one stream layout, one state allocation — and
 keeps the engine-facing contract the exec layer needs: one batch in,
 one byte-identical :class:`~repro.core.records.RunResult` per lane out,
 in lane order.
@@ -52,7 +52,7 @@ from repro.cache.shared import equal_targets, partition_distance, validate_targe
 from repro.cache.stats import CacheStats
 from repro.core.interval import IntervalProtocol
 from repro.core.records import RunResult
-from repro.cpu.streams import CompiledProgram
+from repro.cpu.streams import CompiledProgram, flat_arrays
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sync.barrier import BarrierLog
@@ -83,57 +83,6 @@ class BatchLane:
     targets: list[int] | None = None
     runtime: object | None = None
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-
-
-class _SharedStreams:
-    """The per-batch stream materialisation, shared by every lane.
-
-    Per-thread concatenations (across sections) of the fastpath's fold
-    products — the same elementwise NumPy ops the fastpath performs
-    (``addresses >> off``, ``d_cycles + l2_hit_cycles``, ``d_cycles +
-    miss_cycles``), so the doubles the C kernel accumulates are the
-    doubles the reference accumulates.  When the program came from a
-    prep bundle the source arrays are mmapped views; one pass here
-    copies them into kernel-contiguous layout for all lanes.
-    """
-
-    def __init__(self, compiled: CompiledProgram, off: int, l2_hit_cycles: float) -> None:
-        n = compiled.n_threads
-        n_sections = len(compiled.sections)
-        self.n_threads = n
-        self.n_sections = n_sections
-        per_line: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dch: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dcm: list[list[np.ndarray]] = [[] for _ in range(n)]
-        per_dil: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self.ends = np.zeros(n_sections * n, dtype=np.int64)
-        self.tail_c = np.zeros(n_sections * n, dtype=np.float64)
-        self.tail_i = np.zeros(n_sections * n, dtype=np.int64)
-        counts = [0] * n
-        for si, section in enumerate(compiled.sections):
-            for t, s_ in enumerate(section):
-                per_line[t].append(s_.addresses >> off)
-                per_dch[t].append(s_.d_cycles + l2_hit_cycles)
-                per_dcm[t].append(s_.d_cycles + s_.miss_cycles)
-                per_dil[t].append(s_.d_instructions)
-                counts[t] += int(s_.addresses.size)
-                self.ends[si * n + t] = counts[t]
-                self.tail_c[si * n + t] = s_.tail_cycles
-                self.tail_i[si * n + t] = s_.tail_instructions
-        self.stream_base = np.zeros(n, dtype=np.int64)
-        acc = 0
-        for t in range(n):
-            self.stream_base[t] = acc
-            acc += counts[t]
-        join = lambda chunks, dt: (  # noqa: E731 — local glue
-            np.ascontiguousarray(np.concatenate([c for t in range(n) for c in chunks[t]]), dtype=dt)
-            if acc
-            else np.zeros(0, dtype=dt)
-        )
-        self.line = join(per_line, np.int64)
-        self.dch = join(per_dch, np.float64)
-        self.dcm = join(per_dcm, np.float64)
-        self.dil = join(per_dil, np.int64)
 
 
 def _map_bits(geometry: CacheGeometry) -> int:
@@ -228,7 +177,7 @@ class _LaneL2:
 
 def _replay_lane_compiled(
     kernel,
-    shared: _SharedStreams,
+    streams: tuple,
     state: _BatchState,
     li: int,
     lane: BatchLane,
@@ -236,8 +185,8 @@ def _replay_lane_compiled(
     timing,
     interval_instructions: int,
 ) -> RunResult:
-    n = shared.n_threads
-    n_sections = shared.n_sections
+    n = compiled.n_threads
+    n_sections = len(compiled.sections)
     l2 = _LaneL2(state, li, lane, n)
     clock = state.clock[li]
     stall = state.stall[li]
@@ -265,10 +214,7 @@ def _replay_lane_compiled(
     ctrl[_C_ACTIVE] = n
 
     args = (
-        _ptr(shared.line, _P_I64), _ptr(shared.dch, _P_F64),
-        _ptr(shared.dcm, _P_F64), _ptr(shared.dil, _P_I64),
-        _ptr(shared.stream_base, _P_I64), _ptr(shared.ends, _P_I64),
-        _ptr(shared.tail_c, _P_F64), _ptr(shared.tail_i, _P_I64),
+        *streams,
         _ptr(state.tags[li], _P_I64), _ptr(state.owner[li], _P_I32),
         _ptr(state.last[li], _P_I32), _ptr(state.stamp[li], _P_I64),
         _ptr(state.filled[li], _P_I32), _ptr(state.count[li], _P_I64),
@@ -283,6 +229,7 @@ def _replay_lane_compiled(
         _ptr(state.arrivals[li], _P_F64), _ptr(ctrl, _P_I64),
         n, n_sections, lane.geometry.ways, lane.geometry.sets - 1,
         64 - _map_bits(lane.geometry), int(lane.enforce_partition),
+        lane.geometry.offset_bits, timing.l2_hit_cycles,
     )
     while kernel(*args) == RC_TICK:
         l2.sync_stats()
@@ -332,20 +279,13 @@ def replay_batch(
     """Replay ``compiled`` under every lane; one RunResult per lane, in
     lane order, each byte-identical to a solo run of that cell.
 
-    All lanes must share the program's line size (their L2 geometries
-    may differ in sets/ways).  ``interval_instructions`` is shared: it
+    Lanes may differ in L2 geometry: the kernel shifts addresses by each
+    lane's own line offset.  ``interval_instructions`` is shared: it
     shapes the program itself, so cells differing there can never share
     a prepared program in the first place.
     """
     if not lanes:
         return []
-    off = lanes[0].geometry.offset_bits
-    for lane in lanes:
-        if lane.geometry.offset_bits != off:
-            raise ValueError(
-                "batch lanes must share one cache line size; "
-                f"got offset bits {off} and {lane.geometry.offset_bits}"
-            )
     METRICS.counter("batch.batches").inc()
     METRICS.counter("batch.lanes").inc(len(lanes))
     kernel = load_kernel()
@@ -355,11 +295,22 @@ def replay_batch(
             _replay_lane_fallback(compiled, lane, timing, interval_instructions)
             for lane in lanes
         ]
-    shared = _SharedStreams(compiled, off, timing.l2_hit_cycles)
-    state = _BatchState(lanes, shared.n_threads, shared.n_sections)
+    n, n_sections = compiled.n_threads, len(compiled.sections)
+    flat = compiled.flat if compiled.flat is not None else flat_arrays(compiled.sections)
+    # bounds[k], bounds[k + 1]: where stream k = sec * n + t starts and ends.
+    bounds = np.zeros(n_sections * n + 1, dtype=np.int64)
+    np.cumsum(flat["lens"], out=bounds[1:])
+    streams = (
+        _ptr(flat["addresses"], _P_I64), _ptr(flat["d_cycles"], _P_F64),
+        _ptr(flat["miss_cycles"], _P_F64), _ptr(flat["d_instructions"], _P_I64),
+        _ptr(bounds, _P_I64), _ptr(bounds[1:], _P_I64),
+        _ptr(flat["tail_cycles"], _P_F64), _ptr(flat["tail_instructions"], _P_I64),
+    )
+    state = _BatchState(lanes, n, n_sections)
+    state.cursor[:] = bounds[:n]  # every thread starts on its section-0 stream
     return [
         _replay_lane_compiled(
-            kernel, shared, state, li, lane, compiled, timing, interval_instructions
+            kernel, streams, state, li, lane, compiled, timing, interval_instructions
         )
         for li, lane in enumerate(lanes)
     ]

@@ -46,10 +46,16 @@ structures (DESIGN.md §C.1), so no per-access step scans a set's ways:
 * a cold fill takes way ``filled[s]``: nothing invalidates a line during
   a replay, so a set's invalid ways are always the suffix
   ``[filled[s], ways)``, exactly the reference's first invalid way;
+* it reads the program's flat streams (:mod:`repro.cpu.streams`) in
+  place — mmapped straight from a prep bundle on a warm run — through
+  per-(section, thread) ``starts``/``ends``; it shifts each address to
+  its line and adds the hit latency or the access's miss penalty to its
+  ``d_cycles`` itself, an add computed before the clock add, exactly as
+  the reference computes ``d_cycles + l2_hit_cycles`` before adding it;
 * all cycle quantities are IEEE-754 doubles accumulated in the
-  reference's order (no ``-ffast-math``), instruction counts are
-  ``int64`` — byte-identity is the contract, enforced by
-  ``tests/test_cache_differential.py``.
+  reference's order (no ``-ffast-math`` or other re-associating flag),
+  instruction counts are ``int64`` — byte-identity is the contract,
+  enforced by ``tests/test_cache_differential.py``.
 
 The routine runs one lane until the aggregate instruction count crosses
 the next interval tick (returns ``1``) or the program completes
@@ -189,13 +195,14 @@ static int32_t choose_victim(
 }
 
 int64_t replay_lane(
-    /* shared prepared streams (identical for every lane of the batch) */
-    const int64_t *line,         /* per-thread concatenated line indices   */
-    const double  *dch,          /* d_cycles + l2_hit_cycles               */
-    const double  *dcm,          /* d_cycles + miss_cycles                 */
+    /* the program's flat streams (repro.cpu.streams), read in place; */
+    /* stream k = sec*n + t spans [starts[k], ends[k])                 */
+    const int64_t *addr,         /* addresses                              */
+    const double  *dcyc,         /* d_cycles                               */
+    const double  *mcyc,         /* miss_cycles                            */
     const int64_t *dil,          /* d_instructions                         */
-    const int64_t *stream_base,  /* [n] thread offsets into the above      */
-    const int64_t *ends,         /* [n_sections*n] cursor end per (sec,t)  */
+    const int64_t *starts,       /* [n_sections*n] stream start            */
+    const int64_t *ends,         /* [n_sections*n] stream end              */
     const double  *tail_c,       /* [n_sections*n] section tail cycles     */
     const int64_t *tail_i,       /* [n_sections*n] section tail instrs     */
     /* per-lane cache state */
@@ -212,7 +219,8 @@ int64_t replay_lane(
     int64_t *ctrl,
     /* parameters */
     int64_t n, int64_t n_sections, int64_t ways,
-    int64_t set_mask, int64_t map_shift, int64_t enforce)
+    int64_t set_mask, int64_t map_shift, int64_t enforce,
+    int64_t offset_bits, double l2_hit_cycles)
 {
     int64_t clk       = ctrl[C_CLK];
     int64_t tot       = ctrl[C_TOT];
@@ -249,8 +257,7 @@ int64_t replay_lane(
                     continue;
                 }
                 {
-                    int64_t sb = stream_base[t];
-                    int64_t lv = line[sb + i];
+                    int64_t lv = addr[i] >> offset_bits;
                     int64_t s = lv & set_mask;
                     int64_t cb = s * n;
                     uint64_t h = map_home(lv, map_shift);
@@ -266,7 +273,7 @@ int64_t replay_lane(
                             lru_unlink(prev, next, head, tail, q, j);
                             lru_append(prev, next, head, tail, q, j);
                         }
-                        clock[t] += dch[sb + i];
+                        clock[t] += dcyc[i] + l2_hit_cycles;
                     } else {
                         miss[t] += 1;
                         if (filled[s] < ways) {
@@ -297,10 +304,10 @@ int64_t replay_lane(
                         stamp[j] = clk;
                         count[cb + t] += 1;
                         lru_append(prev, next, head, tail, cb + t, j);
-                        clock[t] += dcm[sb + i];
+                        clock[t] += dcyc[i] + mcyc[i];
                     }
-                    instr[t] += dil[sb + i];
-                    tot      += dil[sb + i];
+                    instr[t] += dil[i];
+                    tot      += dil[i];
                     cursor[t] = i + 1;
                     if (tot >= next_tick) goto pause;
                 }
@@ -316,6 +323,9 @@ int64_t replay_lane(
                 clock[k] = release;
             }
         }
+        /* Each thread's cursor moves to its next section's stream. */
+        if (sec + 1 < n_sections)
+            for (k = 0; k < n; k++) cursor[k] = starts[(sec + 1) * n + k];
         for (k = 0; k < n; k++) done[k] = 0;
         active = n;
         sec++;
@@ -444,6 +454,7 @@ def _bind(path: Path):
         p_f64, p_f64, p_i64, p_i64, p_i32, p_f64, p_i64,  # cpu state
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n, n_sections, ways
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # set_mask, map_shift, enforce
+        ctypes.c_int64, ctypes.c_double,  # offset_bits, l2_hit_cycles
     ]
     i64 = ctypes.c_int64
     l1 = lib.l1_filter

@@ -805,14 +805,6 @@ def replay(engine) -> RunResult:
         _PREP_CACHE[2] = {}
     prep_slots = _PREP_CACHE[2]
 
-    # A program materialised from a repro.prep stream bundle carries its
-    # fold products (hit/miss cost vectors, instruction prefix sums)
-    # precomputed and mmapped; use them when they were folded for this
-    # exact line offset and hit latency, otherwise fold from the arrays.
-    fold = getattr(compiled, "fold_source", None)
-    if fold is not None and not fold.matches(off, l2_hit_cycles):
-        fold = None
-
     def prep(si: int) -> list[tuple]:
         """Vector-precompute one section's per-thread replay streams.
 
@@ -826,10 +818,6 @@ def replay(engine) -> RunResult:
         cached = prep_slots.get(si)
         if cached is not None:
             return cached
-        if fold is not None:
-            out = fold.section_prep(si)
-            prep_slots[si] = out
-            return out
         out = []
         for s_ in compiled.sections[si]:
             a = s_.addresses

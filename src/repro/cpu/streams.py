@@ -8,11 +8,26 @@ instructions and cycles the thread retires between consecutive L2
 accesses.  Policies under comparison then replay identical L2 streams,
 which removes both a 4-5x simulation cost and a source of noise from
 policy comparisons.
+
+The flat layout
+---------------
+A compiled program keeps all of its streams in one set of arrays, the
+layout a :mod:`repro.prep` stream bundle stores and the compiled lane
+kernel (:mod:`repro.cache.batch`) reads in place.  Stream ``k = sec * n
++ t`` (section ``sec``, thread ``t`` of ``n``) occupies
+``[starts[k], starts[k] + lens[sec, t])`` of four per-access arrays —
+``addresses``, ``d_instructions`` (int64), ``d_cycles`` and
+``miss_cycles`` (float64), concatenated section-major, thread-minor —
+where ``starts`` is the exclusive prefix sum of ``lens``.  Five
+``(sections, threads)`` tables hold each stream's scalars.  Every
+:class:`L2Stream` of such a program is a view into those arrays, so
+every replay kernel reads the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +37,31 @@ from repro.cpu.timing import TimingModel
 from repro.sync.program import SyntheticProgram, ThreadWork
 from repro.trace.layout import STREAM_BASE_ADDRESS
 
-__all__ = ["CompiledProgram", "L2Stream", "compile_program", "compile_thread_work"]
+__all__ = [
+    "CompiledProgram",
+    "L2Stream",
+    "compile_program",
+    "compile_thread_work",
+    "flat_arrays",
+    "flat_program",
+]
+
+# The flat layout: its per-access arrays, then its per-stream scalar
+# tables of shape (sections, threads), with their dtypes.  Together they
+# list L2Stream's fields in declaration order.
+_FLAT_STREAMS = (
+    ("addresses", np.int64),
+    ("d_instructions", np.int64),
+    ("d_cycles", np.float64),
+    ("miss_cycles", np.float64),
+)
+_FLAT_TABLES = (
+    ("tail_instructions", np.int64),
+    ("tail_cycles", np.float64),
+    ("total_instructions", np.int64),
+    ("l1_accesses", np.int64),
+    ("l1_hits", np.int64),
+)
 
 
 @dataclass(frozen=True)
@@ -71,17 +110,17 @@ class L2Stream:
 class CompiledProgram:
     """All sections of a program, compiled to per-thread L2 streams.
 
-    ``fold_source`` is an optional provider of precomputed replay-prep
-    products (a :class:`repro.prep.artifacts.StreamFold` when the program
-    was materialised from a stream bundle); the fastpath duck-types it
-    and it never participates in identity or equality.
+    ``flat`` holds the program's streams in the flat layout (module
+    docstring; :func:`flat_arrays` names the arrays), and ``sections``
+    are views into it.  It is ``None`` for a program assembled from
+    hand-built streams.  It never participates in identity or equality.
     """
 
     name: str
     n_threads: int
     sections: tuple[tuple[L2Stream, ...], ...]
     meta: dict
-    fold_source: object | None = field(default=None, compare=False, repr=False)
+    flat: dict[str, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_instructions(self) -> int:
@@ -147,14 +186,87 @@ def compile_thread_work(
 def compile_program(
     program: SyntheticProgram, l1_geometry: CacheGeometry, timing: TimingModel
 ) -> CompiledProgram:
-    """Compile every thread of every section; see module docstring."""
-    sections = tuple(
-        tuple(compile_thread_work(work, l1_geometry, timing) for work in sec.works)
+    """Compile every thread of every section into the flat layout; see
+    the module docstring."""
+    sections = [
+        [compile_thread_work(work, l1_geometry, timing) for work in sec.works]
         for sec in program.sections
+    ]
+    return flat_program(
+        flat_arrays(sections),
+        name=program.name,
+        n_sections=len(sections),
+        n_threads=program.n_threads,
+        meta=dict(program.meta),
+    )
+
+
+def flat_arrays(sections: Sequence[Sequence[L2Stream]]) -> dict[str, np.ndarray]:
+    """Concatenate a program's streams into the flat layout: the four
+    per-access arrays, ``lens`` and the five scalar tables."""
+    streams = [s for sec in sections for s in sec]
+    arrays = {
+        name: np.concatenate([getattr(s, name) for s in streams], dtype=dtype)
+        for name, dtype in _FLAT_STREAMS
+    }
+    arrays["lens"] = np.array(
+        [[s.n_l2_accesses for s in sec] for sec in sections], dtype=np.int64
+    )
+    for name, dtype in _FLAT_TABLES:
+        arrays[name] = np.array([[getattr(s, name) for s in sec] for sec in sections], dtype=dtype)
+    return arrays
+
+
+def _check_flat(arrays: dict[str, np.ndarray], n_sections: int, n_threads: int) -> None:
+    """Raise ValueError unless ``arrays`` hold a well-formed flat layout
+    of ``n_sections x n_threads`` streams.  The lane kernel indexes the
+    per-access arrays by offsets derived from ``lens``, so a ``lens``
+    that overruns them must never get that far."""
+    for name, dtype in (*_FLAT_STREAMS, ("lens", np.int64), *_FLAT_TABLES):
+        a = arrays.get(name)
+        if a is None:
+            raise ValueError(f"flat layout lacks {name!r}")
+        if a.dtype != dtype or not a.flags.c_contiguous:
+            raise ValueError(f"flat array {name!r} is not a C-contiguous {np.dtype(dtype)} array")
+    lens = arrays["lens"]
+    if lens.shape != (n_sections, n_threads):
+        raise ValueError(f"lens has shape {lens.shape}, expected {(n_sections, n_threads)}")
+    if (lens < 0).any():
+        raise ValueError("lens holds a negative stream length")
+    total = int(lens.sum())
+    for name, _ in _FLAT_STREAMS:
+        if arrays[name].shape != (total,):
+            raise ValueError(f"{name!r} has shape {arrays[name].shape}; lens sum to {total}")
+    for name, _ in _FLAT_TABLES:
+        if arrays[name].shape != lens.shape:
+            raise ValueError(f"table {name!r} has shape {arrays[name].shape}, not {lens.shape}")
+
+
+def flat_program(
+    arrays: dict[str, np.ndarray], *, name: str, n_sections: int, n_threads: int, meta: dict
+) -> CompiledProgram:
+    """The program whose streams are views into the flat ``arrays``.
+
+    Checks the layout first and raises ValueError when it is malformed
+    (wrong dtype, shape or contiguity, negative lengths, or lengths that
+    do not sum to the per-access arrays' size).
+    """
+    _check_flat(arrays, n_sections, n_threads)
+    bounds = np.zeros(n_sections * n_threads + 1, dtype=np.int64)
+    np.cumsum(arrays["lens"], out=bounds[1:])
+    bounds = bounds.tolist()
+    per_access = [arrays[name] for name, _ in _FLAT_STREAMS]
+    tables = [arrays[name].ravel().tolist() for name, _ in _FLAT_TABLES]
+    sections = tuple(
+        tuple(
+            L2Stream(
+                *(a[bounds[k] : bounds[k + 1]] for a in per_access),
+                *(table[k] for table in tables),
+            )
+            for k in range(sec * n_threads, (sec + 1) * n_threads)
+        )
+        for sec in range(n_sections)
     )
     return CompiledProgram(
-        name=program.name,
-        n_threads=program.n_threads,
-        sections=sections,
-        meta=dict(program.meta),
+        name=name, n_threads=n_threads, sections=sections, meta=meta, flat=arrays
     )

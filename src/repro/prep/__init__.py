@@ -13,15 +13,15 @@ Layers (see DESIGN.md appendix D):
 * :mod:`repro.prep.store` — the generic content-addressed bundle store
   (atomic publishes, in-process LRU, corruption recovery, telemetry);
 * :mod:`repro.prep.artifacts` — encoding/decoding of the two bundle
-  kinds (raw traces; compiled L2 streams + folded replay products);
-* consumers — ``repro.trace.builder`` (trace bundles),
-  ``repro.sim.driver`` (stream bundles) and ``repro.cache.fastpath``
-  (fold products), all through the process-wide store installed by
-  :func:`configure_prep` (CLI flag ``--prep-dir``).
+  kinds (raw traces; compiled L2 streams in the flat layout of
+  :mod:`repro.cpu.streams`);
+* consumers — ``repro.trace.builder`` (trace bundles) and
+  ``repro.sim.driver`` (stream bundles, whose arrays every replay
+  kernel then reads in place), both through the process-wide store
+  installed by :func:`configure_prep` (CLI flag ``--prep-dir``).
 """
 
 from repro.prep.artifacts import (
-    StreamFold,
     compiled_from_bundle,
     program_from_bundle,
     stream_bundle,
@@ -41,7 +41,6 @@ from repro.prep.store import (
 __all__ = [
     "PrepBundle",
     "PrepStore",
-    "StreamFold",
     "compiled_from_bundle",
     "configure_prep",
     "get_prep_store",

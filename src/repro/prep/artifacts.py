@@ -11,38 +11,40 @@ Two bundle kinds, one per preparation level:
     the machine model, so one trace serves every L1/timing variant.
 
 ``streams``
-    The L1-filtered :class:`~repro.cpu.streams.L2Stream` arrays of a
-    :class:`~repro.cpu.streams.CompiledProgram` *plus* the fastpath's
-    folded replay products — hit cost (``d_cycles + l2_hit_cycles``),
-    miss cost (``d_cycles + miss_cycles``) and the exclusive instruction
-    prefix sums.  Keyed by the trace key plus the L1 geometry and timing
-    model, because the L1 filter and the cost folds depend on both.  A
-    hit skips trace generation *and* the (dominant) L1 filtering cost.
+    The L1-filtered streams of a
+    :class:`~repro.cpu.streams.CompiledProgram` in the flat layout
+    (:mod:`repro.cpu.streams`): four per-access arrays, ``lens`` and five
+    per-stream scalar tables — the L1 filter's outputs and nothing
+    derived from them.  Keyed by the trace key plus the L1 geometry, the
+    timing model and the layout version, because the L1 filter depends
+    on the first two and readers on the third.  A hit skips trace
+    generation *and* the (dominant) L1 filtering cost, and the lane
+    kernel replays the mapped arrays in place.
 
 Equivalence argument: every array round-trips ``.npy`` bit-exactly
 (int64/int32/float64 are stored verbatim), reconstruction slices the
 concatenated arrays back into views with the original lengths, and every
-scalar is recovered with ``int()``/``float()`` — so a rebuilt program or
-compiled stream is value-identical to the one that was stored, and the
-fold products are the same IEEE-754 results the replay kernel would
-recompute.  The differential suite pins this byte-for-byte.
+scalar is recovered as the same Python ``int``/``float`` — so a rebuilt
+program or compiled stream is value-identical to the one that was
+stored.  The differential suite pins this byte-for-byte.  Before any
+view is built, the stream bundle's structure is checked against its
+manifest (:func:`repro.cpu.streams.flat_program`); a bundle that fails is
+corrupt, and its consumer evicts and regenerates it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 
-from repro.cpu.streams import CompiledProgram, L2Stream
+from repro.cpu.streams import CompiledProgram, flat_arrays, flat_program
 from repro.cpu.timing import TimingModel
 from repro.prep.store import PrepBundle
 from repro.sync.program import Section, SyntheticProgram, ThreadWork
 from repro.trace.workloads import WorkloadProfile
 
 __all__ = [
-    "StreamFold",
     "compiled_from_bundle",
     "program_from_bundle",
     "stream_bundle",
@@ -90,6 +92,12 @@ def trace_key(
     }
 
 
+#: Names the arrays a stream bundle holds.  It is part of the stream key,
+#: so code that writes another set of arrays never reads these bundles
+#: and this code never reads theirs.
+STREAM_LAYOUT = "flat-l1"
+
+
 def stream_key(profile: WorkloadProfile, config) -> dict:
     """Content-address key for a compiled (post-L1) stream bundle.
 
@@ -111,6 +119,7 @@ def stream_key(profile: WorkloadProfile, config) -> dict:
     key["kind"] = "streams"
     key["l1_geometry"] = config.l1_geometry.to_dict()
     key["timing"] = config.timing.to_dict()
+    key["layout"] = STREAM_LAYOUT
     return key
 
 
@@ -169,150 +178,41 @@ def program_from_bundle(bundle: PrepBundle) -> SyntheticProgram:
 # Stream bundles
 # ----------------------------------------------------------------------
 
-_SCALAR_FIELDS = (
-    ("tail_instructions", np.int64),
-    ("tail_cycles", np.float64),
-    ("total_instructions", np.int64),
-    ("l1_accesses", np.int64),
-    ("l1_hits", np.int64),
-)
-
 
 def stream_bundle(
     compiled: CompiledProgram, timing: TimingModel, offset_bits: int
 ) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten compiled L2 streams plus their folded replay products."""
-    streams = [s for sec in compiled.sections for s in sec]
-    lens = np.array(
-        [[s.n_l2_accesses for s in sec] for sec in compiled.sections], dtype=np.int64
-    )
-    d_cycles = np.concatenate([s.d_cycles for s in streams])
-    miss_cycles = np.concatenate([s.miss_cycles for s in streams])
-    # cum is per-stream exclusive prefix sums (n+1 entries each) — exactly
-    # what the replay kernel folds on a cold prep, stored so a warm prep
-    # is a slice + tolist.
-    cums = []
-    for s in streams:
-        di = s.d_instructions
-        cum = np.empty(di.size + 1, dtype=di.dtype)
-        cum[0] = 0
-        np.cumsum(di, out=cum[1:])
-        cums.append(cum)
-    arrays = {
-        "addresses": np.concatenate([s.addresses for s in streams]),
-        "d_instructions": np.concatenate([s.d_instructions for s in streams]),
-        "d_cycles": d_cycles,
-        "miss_cycles": miss_cycles,
-        "hit_cost": d_cycles + timing.l2_hit_cycles,
-        "miss_cost": d_cycles + miss_cycles,
-        "cum_instructions": np.concatenate(cums),
-        "lens": lens,
-    }
-    for name, dtype in _SCALAR_FIELDS:
-        arrays[name] = np.array(
-            [[getattr(s, name) for s in sec] for sec in compiled.sections], dtype=dtype
-        )
+    """A program's flat stream arrays plus manifest, ready to publish.
+
+    A program from :func:`~repro.cpu.streams.compile_program` or
+    :func:`compiled_from_bundle` already holds them, so nothing is
+    copied.  The bundle holds only the L1 filter's outputs, so neither
+    ``timing`` nor the L2 line offset ``offset_bits`` shapes it; the
+    stream key already names the timing model.
+    """
+    arrays = compiled.flat if compiled.flat is not None else flat_arrays(compiled.sections)
     meta = {
         "name": compiled.name,
         "n_sections": len(compiled.sections),
         "n_threads": compiled.n_threads,
-        "l2_hit_cycles": timing.l2_hit_cycles,
-        "offset_bits": offset_bits,
         "program_meta": dict(compiled.meta),
     }
-    return arrays, meta
-
-
-class StreamFold:
-    """Replay-prep provider backed by a stream bundle's fold products.
-
-    ``repro.cache.fastpath`` duck-types this through
-    ``CompiledProgram.fold_source``: when :meth:`matches` confirms the
-    bundle was folded for the same line offset and L2 hit latency, a
-    section's per-thread kernel tuples come from mmapped slices instead
-    of being recomputed from the stream arrays.  Both routes produce the
-    same lists — the stored vectors *are* the cold fold's outputs.
-    """
-
-    __slots__ = ("_bundle", "_bounds", "_cum_bounds", "_n_threads")
-
-    def __init__(self, bundle: PrepBundle) -> None:
-        self._bundle = bundle
-        flat = bundle.arrays["lens"].ravel()
-        self._bounds = np.concatenate(([0], np.cumsum(flat)))
-        self._cum_bounds = np.concatenate(([0], np.cumsum(flat + 1)))
-        self._n_threads = int(bundle.meta["n_threads"])
-
-    def matches(self, offset_bits: int, l2_hit_cycles) -> bool:
-        meta = self._bundle.meta
-        return meta["offset_bits"] == offset_bits and meta["l2_hit_cycles"] == l2_hit_cycles
-
-    def section_prep(self, si: int) -> list[tuple]:
-        """Kernel tuples for section ``si`` in fastpath ``prep()`` order."""
-        arrs = self._bundle.arrays
-        addresses = arrs["addresses"]
-        hit_cost = arrs["hit_cost"]
-        miss_cost = arrs["miss_cost"]
-        d_instructions = arrs["d_instructions"]
-        cum = arrs["cum_instructions"]
-        tc = arrs["tail_cycles"]
-        ti = arrs["tail_instructions"]
-        off = int(self._bundle.meta["offset_bits"])
-        out = []
-        for t in range(self._n_threads):
-            k = si * self._n_threads + t
-            o0, o1 = int(self._bounds[k]), int(self._bounds[k + 1])
-            c0, c1 = int(self._cum_bounds[k]), int(self._cum_bounds[k + 1])
-            out.append((
-                (addresses[o0:o1] >> off).tolist(),
-                hit_cost[o0:o1].tolist(),
-                miss_cost[o0:o1].tolist(),
-                d_instructions[o0:o1].tolist(),
-                cum[c0:c1].tolist(),
-                o1 - o0,
-                float(tc[si, t]),
-                int(ti[si, t]),
-            ))
-        return out
+    return dict(arrays), meta
 
 
 def compiled_from_bundle(bundle: PrepBundle) -> CompiledProgram:
     """Rebuild a :class:`CompiledProgram` from a stream bundle.
 
-    Stream arrays are zero-copy views into the mmapped concatenations and
-    the returned program carries a :class:`StreamFold` so the fastpath
-    replays straight off the stored fold products.
+    The program's flat arrays are the bundle's mapped arrays and its
+    streams are zero-copy views into them.  Raises ValueError when the
+    arrays do not match the manifest's ``(n_sections, n_threads)`` shape
+    (see :func:`repro.cpu.streams.flat_program`): the bundle is corrupt.
     """
     meta = bundle.meta
-    arrs = bundle.arrays
-    n_sections, n_threads = int(meta["n_sections"]), int(meta["n_threads"])
-    bounds = np.concatenate(([0], np.cumsum(arrs["lens"].ravel())))
-    scalars = {name: arrs[name] for name, _ in _SCALAR_FIELDS}
-    sections = []
-    k = 0
-    for s in range(n_sections):
-        row = []
-        for t in range(n_threads):
-            o0, o1 = int(bounds[k]), int(bounds[k + 1])
-            row.append(
-                L2Stream(
-                    addresses=arrs["addresses"][o0:o1],
-                    d_instructions=arrs["d_instructions"][o0:o1],
-                    d_cycles=arrs["d_cycles"][o0:o1],
-                    miss_cycles=arrs["miss_cycles"][o0:o1],
-                    tail_instructions=int(scalars["tail_instructions"][s, t]),
-                    tail_cycles=float(scalars["tail_cycles"][s, t]),
-                    total_instructions=int(scalars["total_instructions"][s, t]),
-                    l1_accesses=int(scalars["l1_accesses"][s, t]),
-                    l1_hits=int(scalars["l1_hits"][s, t]),
-                )
-            )
-            k += 1
-        sections.append(tuple(row))
-    compiled = CompiledProgram(
+    return flat_program(
+        bundle.arrays,
         name=meta["name"],
-        n_threads=n_threads,
-        sections=tuple(sections),
+        n_sections=int(meta["n_sections"]),
+        n_threads=int(meta["n_threads"]),
         meta=dict(meta["program_meta"]),
     )
-    return replace(compiled, fold_source=StreamFold(bundle))

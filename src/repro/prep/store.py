@@ -24,9 +24,12 @@ worker pool all read and write the same root concurrently):
   is deleted and reported as a miss (``prep.corrupt``), never an error:
   the worst case is one regeneration.
 
-Arrays are opened with ``np.load(mmap_mode="r")``: the OS page cache
-backs every mapping, so worker processes replaying the same program share
-the clean pages instead of each materialising a private copy.
+Arrays are opened with ``np.load(mmap_mode="r")`` and handed out as
+plain ``ndarray`` views of the mappings (each view's ``.base`` keeps its
+mapping alive): the OS page cache backs every mapping, so worker
+processes replaying the same program share the clean pages instead of
+each materialising a private copy, and slicing a view skips
+``np.memmap``'s Python-level ``__getitem__``/``__array_finalize__``.
 """
 
 from __future__ import annotations
@@ -209,8 +212,18 @@ class PrepStore:
                 arr = np.load(path / f"{name}.npy", mmap_mode="r", allow_pickle=False)
                 if str(arr.dtype) != spec["dtype"] or list(arr.shape) != spec["shape"]:
                     raise ValueError(f"array {name!r} does not match its manifest")
-                arrays[name] = arr
+                arrays[name] = arr.view(np.ndarray)
         return PrepBundle(digest, meta, arrays)
+
+    def reject(self, key: dict) -> None:
+        """Evict the bundle for ``key`` after its consumer found its
+        contents inconsistent (a check the per-array manifest cannot
+        express): dropped from the LRU and the disk and counted in
+        ``corrupt`` and ``misses``, like a bundle :meth:`get` finds
+        unreadable."""
+        digest = key_digest(key)
+        self._lru.pop(digest, None)
+        self._evict_corrupt(self.version_dir / digest[:2] / digest)
 
     def put(self, key: dict, arrays: dict[str, np.ndarray], extra: dict | None = None) -> Path:
         """Publish a bundle atomically; racing writers are benign.

@@ -90,7 +90,10 @@ def _prepare_uncached(profile: WorkloadProfile, config: SystemConfig) -> Compile
     if store is not None:
         bundle = store.get(key)
         if bundle is not None:
-            return compiled_from_bundle(bundle)
+            try:
+                return compiled_from_bundle(bundle)
+            except ValueError:
+                store.reject(key)  # corrupt: evicted here, regenerated below
     program = build_program(
         profile,
         n_threads=config.n_threads,
@@ -100,6 +103,7 @@ def _prepare_uncached(profile: WorkloadProfile, config: SystemConfig) -> Compile
         seed=config.seed,
         line_bytes=config.line_bytes,
     )
+    # compile_program emits the flat layout, so publishing copies nothing.
     compiled = compile_program(program, config.l1_geometry, config.timing)
     if store is not None:
         arrays, meta = stream_bundle(

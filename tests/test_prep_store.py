@@ -2,9 +2,11 @@
 
 Covers the store mechanics (roundtrip, LRU, atomic publish, corruption
 recovery), key invalidation (parameter bump, version bump), the
-trace/stream bundle encodings, and the headline correctness bar: replay
-results are byte-identical across {no cache, cold cache, warm cache} on
-both execution engines.
+trace/stream bundle encodings and the stream bundle's structure check,
+and the headline correctness bar: replay results are byte-identical
+across {no cache, cold cache, warm cache} on both execution engines and
+on the batch lane kernel, which replays a warm bundle's mapped arrays in
+place.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.exec.jobs import JobSpec
 from repro.exec.pool import ProcessPoolEngine
 from repro.obs.metrics import METRICS
 from repro.prep import (
+    PrepBundle,
     PrepStore,
     compiled_from_bundle,
     configure_prep,
@@ -35,7 +38,7 @@ from repro.prep import (
     trace_key,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.driver import clear_program_cache, prepare_program, run_application
+from repro.sim.driver import clear_program_cache, prepare_program, run_application, run_batch
 from repro.trace.builder import build_program
 from repro.trace.workloads import get_workload
 
@@ -90,7 +93,8 @@ class TestPrepStore:
         store = PrepStore(tmp_path)
         store.put(_sample_key(), _sample_arrays())
         bundle = store.get(_sample_key())
-        assert isinstance(bundle.arrays["x"], np.memmap)
+        # A plain ndarray view whose base is the mapping (and keeps it alive).
+        assert isinstance(bundle.arrays["x"].base, np.memmap)
         assert METRICS.counter("prep.bytes_mapped").value == bundle.nbytes
 
     def test_lru_serves_repeat_gets_in_process(self, tmp_path):
@@ -263,6 +267,10 @@ class TestBundles:
         arrays, meta = stream_bundle(
             compiled, tiny_config.timing, tiny_config.l2_geometry.offset_bits
         )
+        assert set(arrays) == {
+            "addresses", "d_instructions", "d_cycles", "miss_cycles", "lens",
+            "tail_instructions", "tail_cycles", "total_instructions", "l1_accesses", "l1_hits",
+        }
         store.put({"k": "s"}, arrays, meta)
         rebuilt = compiled_from_bundle(store.get({"k": "s"}))
         assert rebuilt.name == compiled.name
@@ -278,14 +286,6 @@ class TestBundles:
                 assert s_a.total_instructions == s_b.total_instructions
                 assert s_a.l1_accesses == s_b.l1_accesses
                 assert s_a.l1_hits == s_b.l1_hits
-        fold = rebuilt.fold_source
-        assert fold is not None
-        assert fold.matches(
-            tiny_config.l2_geometry.offset_bits, tiny_config.timing.l2_hit_cycles
-        )
-        assert not fold.matches(
-            tiny_config.l2_geometry.offset_bits + 1, tiny_config.timing.l2_hit_cycles
-        )
 
     def test_builder_trace_hit_skips_generation(self, tmp_path):
         profile = get_workload("mgrid")
@@ -390,6 +390,44 @@ class TestEndToEndEquivalence:
         assert store.stats()["corrupt"] == 2
         assert METRICS.counter("prep.corrupt").value == 2
 
+    def test_batch_replay_byte_identical_no_cold_warm(self, tmp_path, quick_config):
+        """The lane kernel reads a warm program's mmapped stream arrays in
+        place: every lane of an all-policies batch over two L2 geometries
+        must match a solo reference run, with no store, a cold store and
+        a warm store read through its mappings."""
+        from repro.partition import POLICY_REGISTRY
+
+        geometries = (CacheGeometry(sets=32, ways=16), CacheGeometry(sets=16, ways=8))
+        cells = [
+            (policy, quick_config.with_(l2_geometry=geometry))
+            for geometry in geometries
+            for policy in sorted(POLICY_REGISTRY)
+        ]
+        store = PrepStore(tmp_path)
+        for app in self.APPS:
+            set_prep_store(None)
+            clear_program_cache()
+            reference = [
+                json.dumps(
+                    run_application(app, policy, cfg.with_(cache_backend="reference")).to_dict(),
+                    sort_keys=True,
+                )
+                for policy, cfg in cells
+            ]
+            for label in ("none", "cold", "warm"):
+                set_prep_store(None if label == "none" else store)
+                store._lru.clear()  # a warm run maps the bundle from disk
+                clear_program_cache()
+                results = run_batch(app, cells)
+                for (policy, cfg), result, ref in zip(cells, results, reference):
+                    assert json.dumps(result.to_dict(), sort_keys=True) == ref, (
+                        app, policy, cfg.l2_geometry.sets, label,
+                    )
+            warm = prepare_program(app, quick_config)
+            assert isinstance(warm.flat["addresses"].base, np.memmap), app
+        assert store.stats()["writes"] == 2 * len(self.APPS)  # a trace + a stream bundle each
+        assert store.stats()["corrupt"] == 0
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="predictable worker startup needs fork",
@@ -422,6 +460,74 @@ class TestEndToEndEquivalence:
             engine.close()
         # The pooled workers published bundles into the shared store.
         assert len(get_prep_store()) > 0
+
+
+class TestStreamBundleValidation:
+    """The lane kernel indexes a stream bundle's arrays by offsets derived
+    from its ``lens``; a bundle whose structure is inconsistent must be
+    treated as corrupt before any view of it is built."""
+
+    def test_when_lens_overruns_the_arrays_then_bundle_evicted_and_regenerated(
+        self, tmp_path, quick_config
+    ):
+        # GIVEN a warm store holding the stream bundle of a batch's program
+        store = PrepStore(tmp_path)
+        set_prep_store(store)
+        clear_program_cache()
+        cells = [("model-based", quick_config), ("shared", quick_config)]
+        cold = [json.dumps(r.to_dict(), sort_keys=True) for r in run_batch("swim", cells)]
+        path = store.path_for(stream_key(get_workload("swim"), quick_config))
+        good_lens = np.load(path / "lens.npy")
+        # WHEN its lens.npy is rewritten with the same shape and dtype (so
+        # the manifest still matches) but one stream length raised
+        bad = good_lens.copy()
+        bad[0, 0] += 1
+        np.save(path / "lens.npy", bad)
+        store._lru.clear()
+        clear_program_cache()
+        warm = [json.dumps(r.to_dict(), sort_keys=True) for r in run_batch("swim", cells)]
+        # THEN the bundle counts as corrupt, is regenerated, and the replay
+        # matches the cold one
+        assert warm == cold
+        assert store.stats()["corrupt"] == 1
+        assert METRICS.counter("prep.corrupt").value == 1
+        np.testing.assert_array_equal(np.load(path / "lens.npy"), good_lens)
+
+    @staticmethod
+    def _mangle(arrays: dict, how: str) -> None:
+        lens = arrays["lens"]
+        if how == "lens-overrun":
+            lens[0, 0] += 1
+        elif how == "lens-negative":
+            lens[0, 1] += lens[0, 0] + 1  # keeps the sum
+            lens[0, 0] = -1
+        elif how == "lens-shape":
+            arrays["lens"] = lens.ravel().copy()
+        elif how == "table-shape":
+            arrays["tail_cycles"] = arrays["tail_cycles"][:-1].copy()
+        elif how == "dtype":
+            arrays["d_cycles"] = arrays["d_cycles"].astype(np.float32)
+        elif how == "not-contiguous":
+            arrays["lens"] = np.asfortranarray(lens)
+        elif how == "missing":
+            del arrays["miss_cycles"]
+
+    @pytest.mark.parametrize(
+        "how",
+        ("lens-overrun", "lens-negative", "lens-shape", "table-shape", "dtype",
+         "not-contiguous", "missing"),
+    )
+    def test_when_structure_is_inconsistent_then_compiled_from_bundle_raises(
+        self, tiny_config, how
+    ):
+        compiled = prepare_program("art", tiny_config)
+        arrays, meta = stream_bundle(
+            compiled, tiny_config.timing, tiny_config.l2_geometry.offset_bits
+        )
+        arrays = {name: a.copy() for name, a in arrays.items()}
+        self._mangle(arrays, how)
+        with pytest.raises(ValueError):
+            compiled_from_bundle(PrepBundle("digest", meta, arrays))
 
 
 def _hammer_prep(root: str, barrier, out) -> None:
