@@ -4,8 +4,8 @@ Unlike ``bench_cache_kernel.py`` (engine-only), this measures the *whole*
 job — trace generation, L1 filtering, replay — exactly what a sweep pays
 per (app, policy) when every job lands in a worker process without a
 compiled-program memo.  In-process caches (the program memo, the fastpath
-prep slots, the prep store's LRU) are cleared before every measured run,
-so each number models the per-(job x process) cost:
+prep slots) are cleared before every measured run, so each number models
+the per-(job x process) cost:
 
 ``none``
     No prep store configured — the pre-1.4 behaviour: every job
@@ -86,7 +86,7 @@ def measure(
                     elif mode == "cold":
                         store.clear()
                         set_prep_store(PrepStore(root))
-                    else:  # warm: bundles on disk, fresh in-process LRU
+                    else:  # warm: bundles on disk, a fresh store instance
                         set_prep_store(PrepStore(root))
                     elapsed, digest = _time_job(app, policy, config)
                     best = min(best, elapsed)

@@ -58,6 +58,7 @@ this module, never an accepted tolerance.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -439,11 +440,17 @@ def make_shared_cache(
 
 _KERNELS: dict[tuple[int, bool], object] = {}
 
-#: One-slot memo of prepared replay streams: [key, compiled-program ref,
-#: {section index: streams}].  Holding the program pins its id() (the
-#: key) while cached; bounding the cache to one program keeps memory
-#: proportional to a single app even across long sweeps.
+#: One-slot memo of prepared replay streams: [key, weak reference to the
+#: compiled program, {section index: streams}].  It never keeps its program
+#: alive, and empties when the program dies; bounding it to one program
+#: keeps memory proportional to a single app even across long sweeps.
 _PREP_CACHE: list = [None, None, {}]
+
+
+def _forget_prep(ref: weakref.ref) -> None:
+    """Weak-reference callback: the memoised program died; drop its streams."""
+    if _PREP_CACHE[1] is ref:
+        _PREP_CACHE[:] = [None, None, {}]
 
 
 def _peek_block(
@@ -797,12 +804,10 @@ def replay(engine) -> RunResult:
             stall[t] += release - arrivals[t]
             clock[t] = release
 
-    prep_key = (id(compiled), off, l2_hit_cycles)
-    if _PREP_CACHE[0] != prep_key:
-        _PREP_CACHE[0] = prep_key
-        # Strong reference to `compiled` pins its id() while cached.
-        _PREP_CACHE[1] = compiled
-        _PREP_CACHE[2] = {}
+    prep_key = (off, l2_hit_cycles)
+    ref = _PREP_CACHE[1]
+    if _PREP_CACHE[0] != prep_key or ref is None or ref() is not compiled:
+        _PREP_CACHE[:] = [prep_key, weakref.ref(compiled, _forget_prep), {}]
     prep_slots = _PREP_CACHE[2]
 
     def prep(si: int) -> list[tuple]:

@@ -40,6 +40,7 @@ from repro.trace.layout import STREAM_BASE_ADDRESS
 __all__ = [
     "CompiledProgram",
     "L2Stream",
+    "check_flat",
     "compile_program",
     "compile_thread_work",
     "flat_arrays",
@@ -217,12 +218,16 @@ def flat_arrays(sections: Sequence[Sequence[L2Stream]]) -> dict[str, np.ndarray]
     return arrays
 
 
-def _check_flat(arrays: dict[str, np.ndarray], n_sections: int, n_threads: int) -> None:
+def check_flat(
+    arrays: dict[str, np.ndarray], n_sections: int, n_threads: int,
+    per_access: Sequence[tuple] = _FLAT_STREAMS, tables: Sequence[tuple] = _FLAT_TABLES,
+) -> None:
     """Raise ValueError unless ``arrays`` hold a well-formed flat layout
-    of ``n_sections x n_threads`` streams.  The lane kernel indexes the
-    per-access arrays by offsets derived from ``lens``, so a ``lens``
-    that overruns them must never get that far."""
-    for name, dtype in (*_FLAT_STREAMS, ("lens", np.int64), *_FLAT_TABLES):
+    of ``n_sections x n_threads`` streams (by default a compiled program's
+    ``per_access`` arrays and ``tables``).  Readers slice, and the lane
+    kernel indexes, the per-access arrays by offsets derived from ``lens``,
+    so a ``lens`` that disagrees with them must never get that far."""
+    for name, dtype in (*per_access, ("lens", np.int64), *tables):
         a = arrays.get(name)
         if a is None:
             raise ValueError(f"flat layout lacks {name!r}")
@@ -234,10 +239,10 @@ def _check_flat(arrays: dict[str, np.ndarray], n_sections: int, n_threads: int) 
     if (lens < 0).any():
         raise ValueError("lens holds a negative stream length")
     total = int(lens.sum())
-    for name, _ in _FLAT_STREAMS:
+    for name, _ in per_access:
         if arrays[name].shape != (total,):
             raise ValueError(f"{name!r} has shape {arrays[name].shape}; lens sum to {total}")
-    for name, _ in _FLAT_TABLES:
+    for name, _ in tables:
         if arrays[name].shape != lens.shape:
             raise ValueError(f"table {name!r} has shape {arrays[name].shape}, not {lens.shape}")
 
@@ -251,7 +256,7 @@ def flat_program(
     (wrong dtype, shape or contiguity, negative lengths, or lengths that
     do not sum to the per-access arrays' size).
     """
-    _check_flat(arrays, n_sections, n_threads)
+    check_flat(arrays, n_sections, n_threads)
     bounds = np.zeros(n_sections * n_threads + 1, dtype=np.int64)
     np.cumsum(arrays["lens"], out=bounds[1:])
     bounds = bounds.tolist()

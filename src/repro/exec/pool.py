@@ -88,8 +88,8 @@ def _worker_init(prep_key, fault_plan: FaultPlan | None) -> None:
     if prep_key is not None:
         from repro.prep import configure_prep
 
-        prep_root, prep_version, prep_lru = prep_key
-        configure_prep(prep_root, version=prep_version, lru_limit=prep_lru)
+        prep_root, prep_version = prep_key
+        configure_prep(prep_root, version=prep_version)
     set_fault_plan(fault_plan)
 
 
@@ -115,8 +115,9 @@ class ProcessPoolEngine(ExecutionEngine):
         every worker has a next job queued while the engine drains the
         current wave.  Workers are long-lived across chunks *and* across
         ``run()`` invocations (the pool stays warm until :meth:`close`),
-        so per-process caches — the compiled-program memo, mmapped prep
-        artifacts — amortise over a whole sweep.
+        so worker start-up and the solo cells' compiled-program memo
+        amortise over a whole sweep.  A batch unit's program, and the
+        prep bundle mapping it reads, are released when the unit ends.
     timeout_s:
         Per-job cap on the wall-clock wait for that job's result once the
         engine starts waiting on it; ``None`` waits forever.
@@ -172,9 +173,7 @@ class ProcessPoolEngine(ExecutionEngine):
         from repro.prep import get_prep_store
 
         store = get_prep_store()
-        if store is None:
-            return None
-        return (str(store.root), store.version, store.lru_limit)
+        return None if store is None else (str(store.root), store.version)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """Return the warm pool, (re)building it on first use or when the

@@ -11,7 +11,7 @@ shared pages instead of recomputing.
 Layers (see DESIGN.md appendix D):
 
 * :mod:`repro.prep.store` — the generic content-addressed bundle store
-  (atomic publishes, in-process LRU, corruption recovery, telemetry);
+  (atomic publishes, corruption recovery, telemetry; no in-process cache);
 * :mod:`repro.prep.artifacts` — encoding/decoding of the two bundle
   kinds (raw traces; compiled L2 streams in the flat layout of
   :mod:`repro.cpu.streams`);

@@ -27,8 +27,8 @@ concatenated arrays back into views with the original lengths, and every
 scalar is recovered as the same Python ``int``/``float`` — so a rebuilt
 program or compiled stream is value-identical to the one that was
 stored.  The differential suite pins this byte-for-byte.  Before any
-view is built, the stream bundle's structure is checked against its
-manifest (:func:`repro.cpu.streams.flat_program`); a bundle that fails is
+view is built, either bundle's manifest fields and array structure are
+checked (:func:`repro.cpu.streams.check_flat`); a bundle that fails is
 corrupt, and its consumer evicts and regenerates it.
 """
 
@@ -38,7 +38,7 @@ import hashlib
 
 import numpy as np
 
-from repro.cpu.streams import CompiledProgram, flat_arrays, flat_program
+from repro.cpu.streams import CompiledProgram, check_flat, flat_arrays, flat_program
 from repro.cpu.timing import TimingModel
 from repro.prep.store import PrepBundle
 from repro.sync.program import Section, SyntheticProgram, ThreadWork
@@ -123,6 +123,16 @@ def stream_key(profile: WorkloadProfile, config) -> dict:
     return key
 
 
+def _manifest(meta: dict) -> tuple[str, int, int, dict]:
+    """A bundle manifest's ``name``, ``n_sections``, ``n_threads`` and
+    ``program_meta``; ValueError if one is missing or mistyped (corrupt)."""
+    try:
+        shape = int(meta["n_sections"]), int(meta["n_threads"])
+        return meta["name"], *shape, dict(meta["program_meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bundle manifest is malformed: {exc!r}") from None
+
+
 # ----------------------------------------------------------------------
 # Trace bundles
 # ----------------------------------------------------------------------
@@ -153,25 +163,21 @@ def program_from_bundle(bundle: PrepBundle) -> SyntheticProgram:
 
     Thread works are zero-copy views into the mmapped concatenations, so
     a warm program costs page mappings, not allocation or generation.
+    Raises ValueError when the manifest is malformed or the arrays do not
+    match its ``(n_sections, n_threads)`` shape (:func:`repro.cpu.streams.
+    check_flat`; slicing would clamp and rebuild another program): the
+    bundle is corrupt.
     """
-    meta = bundle.meta
-    addrs = bundle.arrays["addrs"]
-    gaps = bundle.arrays["gaps"]
-    lens = bundle.arrays["lens"]
-    n_sections, n_threads = int(meta["n_sections"]), int(meta["n_threads"])
-    bounds = np.concatenate(([0], np.cumsum(lens.ravel())))
-    sections = []
-    k = 0
-    for _ in range(n_sections):
-        works = []
-        for _ in range(n_threads):
-            o0, o1 = int(bounds[k]), int(bounds[k + 1])
-            works.append(ThreadWork(addrs=addrs[o0:o1], gaps=gaps[o0:o1]))
-            k += 1
-        sections.append(Section(works=tuple(works)))
-    return SyntheticProgram(
-        name=meta["name"], sections=tuple(sections), meta=dict(meta["program_meta"])
+    name, n_sections, n_threads, program_meta = _manifest(bundle.meta)
+    # A trace bundle's per-access arrays; it has no per-work tables.
+    check_flat(bundle.arrays, n_sections, n_threads, (("addrs", np.int64), ("gaps", np.int32)), ())
+    addrs, gaps = bundle.arrays["addrs"], bundle.arrays["gaps"]
+    bounds = [0, *np.cumsum(bundle.arrays["lens"].ravel()).tolist()]
+    works = [ThreadWork(addrs=addrs[a:b], gaps=gaps[a:b]) for a, b in zip(bounds, bounds[1:])]
+    sections = tuple(
+        Section(works=tuple(works[s * n_threads : (s + 1) * n_threads])) for s in range(n_sections)
     )
+    return SyntheticProgram(name=name, sections=sections, meta=program_meta)
 
 
 # ----------------------------------------------------------------------
@@ -205,14 +211,11 @@ def compiled_from_bundle(bundle: PrepBundle) -> CompiledProgram:
 
     The program's flat arrays are the bundle's mapped arrays and its
     streams are zero-copy views into them.  Raises ValueError when the
-    arrays do not match the manifest's ``(n_sections, n_threads)`` shape
-    (see :func:`repro.cpu.streams.flat_program`): the bundle is corrupt.
+    manifest is malformed or the arrays do not match its ``(n_sections,
+    n_threads)`` shape (see :func:`repro.cpu.streams.flat_program`): the
+    bundle is corrupt.
     """
-    meta = bundle.meta
+    name, n_sections, n_threads, program_meta = _manifest(bundle.meta)
     return flat_program(
-        bundle.arrays,
-        name=meta["name"],
-        n_sections=int(meta["n_sections"]),
-        n_threads=int(meta["n_threads"]),
-        meta=dict(meta["program_meta"]),
+        bundle.arrays, name=name, n_sections=n_sections, n_threads=n_threads, meta=program_meta
     )

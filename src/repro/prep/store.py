@@ -30,6 +30,8 @@ mapping alive): the OS page cache backs every mapping, so worker
 processes replaying the same program share the clean pages instead of
 each materialising a private copy, and slicing a view skips
 ``np.memmap``'s Python-level ``__getitem__``/``__array_finalize__``.
+The store keeps no bundle: a mapping is unmapped when its consumer drops
+the last view of it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import os
 import shutil
 import tempfile
 import time
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,6 @@ __all__ = [
     "set_prep_store",
 ]
 
-DEFAULT_LRU_LIMIT = 8
 _META_NAME = "meta.json"
 
 
@@ -86,14 +86,13 @@ class PrepBundle:
 
 
 class PrepStore:
-    """On-disk cache of prepared-program bundles with an in-process LRU.
+    """On-disk cache of prepared-program bundles.
 
-    The LRU sits in front of the filesystem so that replaying the same
-    program under many policies (the shape of every policy-comparison
-    experiment) maps each bundle once per process, not once per job.
-    Counters (``hits``, ``misses``, ``writes``, ``corrupt``, ``races``)
-    accumulate over the store's lifetime; the CLI surfaces them under
-    ``-v``.
+    Every :meth:`get` maps the bundle from disk and keeps nothing, so a
+    mapping lives exactly as long as its consumer; the OS page cache
+    serves repeat gets.  Counters (``hits``, ``misses``, ``writes``,
+    ``corrupt``, ``races``) accumulate over the store's lifetime; the CLI
+    surfaces them under ``-v``.
     """
 
     def __init__(
@@ -101,14 +100,10 @@ class PrepStore:
         root: str | Path,
         *,
         version: str | None = None,
-        lru_limit: int = DEFAULT_LRU_LIMIT,
         stale_ttl_s: float = DEFAULT_STALE_TTL_S,
     ) -> None:
-        if lru_limit < 1:
-            raise ValueError("lru_limit must be >= 1")
         self.root = Path(root)
         self.version = version if version is not None else repro.__version__
-        self.lru_limit = lru_limit
         self.stale_ttl_s = stale_ttl_s
         self.hits = 0
         self.misses = 0
@@ -125,7 +120,6 @@ class PrepStore:
         # they are trusted.
         self.fetcher = None
         self._fetching = False
-        self._lru: OrderedDict[str, PrepBundle] = OrderedDict()
         # Startup sweep: staging dirs orphaned by hard-killed publishers
         # must not accumulate across repeatedly crashed runs.
         self.sweep_stale()
@@ -146,11 +140,6 @@ class PrepStore:
         ``corrupt`` as well as ``misses``.
         """
         digest = key_digest(key)
-        cached = self._lru.get(digest)
-        if cached is not None:
-            self._lru.move_to_end(digest)
-            self._hit()
-            return cached
         path = self.version_dir / digest[:2] / digest
         try:
             with (path / _META_NAME).open("r", encoding="utf-8") as fh:
@@ -168,7 +157,6 @@ class PrepStore:
             bundle = self._materialize(digest, path, meta)
         except Exception:  # noqa: BLE001 — any malformed bundle is corruption
             return self._evict_corrupt(path)
-        self._remember(digest, bundle)
         self._hit()
         METRICS.counter("prep.bytes_mapped").inc(bundle.nbytes)
         return bundle
@@ -218,12 +206,9 @@ class PrepStore:
     def reject(self, key: dict) -> None:
         """Evict the bundle for ``key`` after its consumer found its
         contents inconsistent (a check the per-array manifest cannot
-        express): dropped from the LRU and the disk and counted in
-        ``corrupt`` and ``misses``, like a bundle :meth:`get` finds
-        unreadable."""
-        digest = key_digest(key)
-        self._lru.pop(digest, None)
-        self._evict_corrupt(self.version_dir / digest[:2] / digest)
+        express): deleted from disk and counted in ``corrupt`` and
+        ``misses``, like a bundle :meth:`get` finds unreadable."""
+        self._evict_corrupt(self.path_for(key))
 
     def put(self, key: dict, arrays: dict[str, np.ndarray], extra: dict | None = None) -> Path:
         """Publish a bundle atomically; racing writers are benign.
@@ -318,7 +303,6 @@ class PrepStore:
                 is_bundle = not entry.name.startswith(".")
                 shutil.rmtree(entry, ignore_errors=True)
                 removed += is_bundle
-        self._lru.clear()
         return removed
 
     def stats(self) -> dict:
@@ -331,12 +315,6 @@ class PrepStore:
             "stale_swept": self.stale_swept,
             "fetched": self.fetched,
         }
-
-    def _remember(self, digest: str, bundle: PrepBundle) -> None:
-        self._lru[digest] = bundle
-        self._lru.move_to_end(digest)
-        while len(self._lru) > self.lru_limit:
-            self._lru.popitem(last=False)
 
     def _hit(self) -> None:
         self.hits += 1
@@ -375,13 +353,8 @@ def set_prep_store(store: PrepStore | None) -> PrepStore | None:
     return previous
 
 
-def configure_prep(
-    root: str | Path | None,
-    *,
-    version: str | None = None,
-    lru_limit: int = DEFAULT_LRU_LIMIT,
-) -> PrepStore | None:
+def configure_prep(root: str | Path | None, *, version: str | None = None) -> PrepStore | None:
     """Point the process-wide store at ``root`` (None disables caching)."""
-    store = PrepStore(root, version=version, lru_limit=lru_limit) if root else None
+    store = PrepStore(root, version=version) if root else None
     set_prep_store(store)
     return store

@@ -35,8 +35,8 @@ __all__ = [
 
 # Compiled programs are large (every per-thread L2 stream of every section);
 # an unbounded memo turns a long sweep into a slow leak.  LRU with a
-# configurable cap: a policy comparison re-reads the same entry for every
-# policy, so even a small cap keeps the hit rate of the old unbounded dict.
+# configurable cap: a solo policy comparison re-reads the same entry for every
+# policy, so a small cap keeps the old hit rate; batch units never enter it.
 DEFAULT_PROGRAM_CACHE_LIMIT = 32
 
 _PROGRAM_CACHE: OrderedDict[tuple, CompiledProgram] = OrderedDict()
@@ -52,10 +52,12 @@ def _cache_key(profile: WorkloadProfile, config: SystemConfig) -> tuple:
     return (profile.name, config)
 
 
-def prepare_program(app: str | WorkloadProfile, config: SystemConfig) -> CompiledProgram:
+def prepare_program(
+    app: str | WorkloadProfile, config: SystemConfig, *, keep: bool = True
+) -> CompiledProgram:
     """Build + L1-compile the program for ``app``, memoised per config.
 
-    The memo is what makes multi-policy comparisons cheap: trace
+    The memo is what makes solo multi-policy comparisons cheap: trace
     generation and L1 filtering dominate setup cost and depend only on the
     workload and machine front-end, never on the L2 policy.  When a
     :mod:`repro.prep` store is configured, a memo miss consults it for a
@@ -63,6 +65,10 @@ def prepare_program(app: str | WorkloadProfile, config: SystemConfig) -> Compile
     mmapped arrays (shared page-cache pages across worker processes) and
     skips generation and L1 filtering entirely; a miss compiles as usual
     and publishes the bundle for every later process.
+
+    ``keep=False`` still serves a memo hit but does not insert a miss,
+    so the program (and the bundle mapping it reads) lives only as long
+    as the caller holds it.
     """
     profile = get_workload(app) if isinstance(app, str) else app
     key = _cache_key(profile, config)
@@ -73,11 +79,12 @@ def prepare_program(app: str | WorkloadProfile, config: SystemConfig) -> Compile
         return compiled
     METRICS.counter("sim.program_cache.misses").inc()
     compiled = _prepare_uncached(profile, config)
-    _PROGRAM_CACHE[key] = compiled
-    while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_LIMIT:
-        _PROGRAM_CACHE.popitem(last=False)
-        METRICS.counter("sim.program_cache.evictions").inc()
-    METRICS.gauge("sim.program_cache.size").set(len(_PROGRAM_CACHE))
+    if keep:
+        _PROGRAM_CACHE[key] = compiled
+        while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_LIMIT:
+            _PROGRAM_CACHE.popitem(last=False)
+            METRICS.counter("sim.program_cache.evictions").inc()
+        METRICS.gauge("sim.program_cache.size").set(len(_PROGRAM_CACHE))
     return compiled
 
 
@@ -87,13 +94,12 @@ def _prepare_uncached(profile: WorkloadProfile, config: SystemConfig) -> Compile
 
     store = get_prep_store()
     key = stream_key(profile, config) if store is not None else None
-    if store is not None:
-        bundle = store.get(key)
-        if bundle is not None:
-            try:
-                return compiled_from_bundle(bundle)
-            except ValueError:
-                store.reject(key)  # corrupt: evicted here, regenerated below
+    bundle = store.get(key) if store is not None else None
+    if bundle is not None:
+        try:
+            return compiled_from_bundle(bundle)
+        except ValueError:
+            store.reject(key)  # corrupt: evicted here, regenerated below
     program = build_program(
         profile,
         n_threads=config.n_threads,
@@ -106,10 +112,7 @@ def _prepare_uncached(profile: WorkloadProfile, config: SystemConfig) -> Compile
     # compile_program emits the flat layout, so publishing copies nothing.
     compiled = compile_program(program, config.l1_geometry, config.timing)
     if store is not None:
-        arrays, meta = stream_bundle(
-            compiled, config.timing, config.l2_geometry.offset_bits
-        )
-        store.put(key, arrays, meta)
+        store.put(key, *stream_bundle(compiled, config.timing, config.l2_geometry.offset_bits))
     return compiled
 
 
@@ -211,6 +214,10 @@ def run_batch(
     geometry, ``min_ways``, and of course the policy are free to vary
     per lane.  Returns one :class:`RunResult` per cell, in cell order,
     each byte-identical to :func:`run_application` on that cell alone.
+
+    Prepared with ``keep=False``: :func:`repro.exec.batch.plan_units` puts
+    every cell sharing a ``batch_key`` into one unit, so this call is the
+    program's only consumer in its sweep and a memo entry would outlive it.
     """
     from dataclasses import replace
 
@@ -231,7 +238,7 @@ def run_batch(
     if tracer is None:
         tracer = get_tracer()
     with tracer.span("prepare"):
-        compiled = prepare_program(app, base)
+        compiled = prepare_program(app, base, keep=False)
         lanes = []
         for policy, cfg in cells:
             policy_obj = make_policy(policy, cfg)

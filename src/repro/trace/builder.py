@@ -41,7 +41,8 @@ def build_program(
     When a :mod:`repro.prep` store is configured, generated traces are
     published as content-addressed bundles and later builds of the same
     parameters reconstruct the program from mmapped arrays instead of
-    regenerating — value-identical by the determinism above.
+    regenerating — value-identical by the determinism above.  A corrupt
+    bundle is rejected (``prep.corrupt``) and regenerated.
     """
     if n_intervals < 1 or sections_per_interval < 1:
         raise ValueError("n_intervals and sections_per_interval must be >= 1")
@@ -67,7 +68,10 @@ def build_program(
         )
         bundle = store.get(key)
         if bundle is not None:
-            return program_from_bundle(bundle)
+            try:
+                return program_from_bundle(bundle)
+            except ValueError:
+                store.reject(key)  # corrupt: evicted here, regenerated below
 
     layout = AddressLayout(line_bytes=line_bytes)
     behaviors = profile.behaviors_for(n_threads)

@@ -27,7 +27,9 @@ from repro.experiments import (
     get_result,
     list_experiments,
 )
+from repro.obs.metrics import METRICS
 from repro.sim.config import SystemConfig
+from repro.sim.driver import clear_program_cache
 
 APPS = ["swim", "cg"]
 
@@ -162,6 +164,20 @@ class TestRunners:
         res = fig22_eight_core(cfg.with_(n_threads=8), ["ft"])
         assert res.vs_private.apps == ["ft"]
         res.format()
+
+    def test_when_fig22_runs_batched_then_each_program_is_prepared_once(self, cfg):
+        # GIVEN the batch backend, an empty result memo and no prep store
+        clear_result_cache()
+        clear_program_cache()
+        config = cfg.with_(n_threads=8, cache_backend="batch")
+        # WHEN both 8-core comparisons run
+        res = fig22_eight_core(config, ["ft"])
+        # THEN ft's program was prepared once, for one 3-lane unit, and
+        # the results equal the fast backend's
+        assert METRICS.counter("sim.program_cache.misses").value == 1
+        assert METRICS.counter("batch.cells_batched").value == 3
+        fast = fig22_eight_core(cfg.with_(n_threads=8), ["ft"])
+        assert res.to_dict() == fast.to_dict()
 
     def test_ablation_termination(self, cfg):
         res = ablation_termination_rule(cfg, ["cg"])

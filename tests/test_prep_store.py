@@ -1,24 +1,28 @@
 """Tests for :mod:`repro.prep` — the prepared-program artifact cache.
 
-Covers the store mechanics (roundtrip, LRU, atomic publish, corruption
-recovery), key invalidation (parameter bump, version bump), the
-trace/stream bundle encodings and the stream bundle's structure check,
-and the headline correctness bar: replay results are byte-identical
-across {no cache, cold cache, warm cache} on both execution engines and
-on the batch lane kernel, which replays a warm bundle's mapped arrays in
-place.
+Covers the store mechanics (roundtrip, fresh mappings per get, atomic
+publish, corruption recovery), key invalidation (parameter bump, version
+bump), the trace/stream bundle encodings and both bundles' structure
+checks, the lifetime of a prepared program, and the headline correctness
+bar: replay results are byte-identical across {no cache, cold cache, warm
+cache} on both execution engines and on the batch lane kernel, which
+replays a warm bundle's mapped arrays in place.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 
 import repro
+from repro.cache import fastpath
 from repro.cache.geometry import CacheGeometry
 from repro.exec.jobs import JobSpec
 from repro.exec.pool import ProcessPoolEngine
@@ -37,6 +41,7 @@ from repro.prep import (
     trace_bundle,
     trace_key,
 )
+from repro.sim import driver
 from repro.sim.config import SystemConfig
 from repro.sim.driver import clear_program_cache, prepare_program, run_application, run_batch
 from repro.trace.builder import build_program
@@ -97,22 +102,16 @@ class TestPrepStore:
         assert isinstance(bundle.arrays["x"].base, np.memmap)
         assert METRICS.counter("prep.bytes_mapped").value == bundle.nbytes
 
-    def test_lru_serves_repeat_gets_in_process(self, tmp_path):
+    def test_every_get_maps_from_disk(self, tmp_path):
         store = PrepStore(tmp_path)
         store.put(_sample_key(), _sample_arrays())
         first = store.get(_sample_key())
         second = store.get(_sample_key())
-        assert first is second  # same materialisation, not a re-mmap
+        assert first is not second  # a fresh materialisation each time
+        assert first.arrays["x"].base is not second.arrays["x"].base
+        for name, arr in first.arrays.items():
+            np.testing.assert_array_equal(arr, second.arrays[name])
         assert store.hits == 2
-
-    def test_lru_evicts_beyond_limit(self, tmp_path):
-        store = PrepStore(tmp_path, lru_limit=2)
-        for tag in ("a", "b", "c"):
-            store.put(_sample_key(tag), _sample_arrays())
-            assert store.get(_sample_key(tag)) is not None
-        assert len(store._lru) == 2
-        # "a" was evicted from the LRU but still lives on disk.
-        assert store.get(_sample_key("a")) is not None
 
     def test_distinct_keys_do_not_alias(self, tmp_path):
         store = PrepStore(tmp_path)
@@ -138,7 +137,6 @@ class TestPrepStore:
         store = PrepStore(tmp_path)
         path = store.put(_sample_key(), _sample_arrays())
         (path / "meta.json").write_text("{not json", encoding="utf-8")
-        store._lru.clear()
         assert store.get(_sample_key()) is None
         assert store.corrupt == 1
         assert METRICS.counter("prep.corrupt").value == 1
@@ -152,7 +150,6 @@ class TestPrepStore:
         path = store.put(_sample_key(), _sample_arrays())
         with open(path / "x.npy", "r+b") as fh:
             fh.truncate(16)
-        store._lru.clear()
         assert store.get(_sample_key()) is None
         assert store.corrupt == 1
         assert not path.exists()
@@ -163,7 +160,6 @@ class TestPrepStore:
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
         meta["key"] = {"kind": "other"}
         (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-        store._lru.clear()
         assert store.get(_sample_key()) is None
         assert store.corrupt == 1
 
@@ -188,10 +184,6 @@ class TestPrepStore:
         assert len(store) == 0
         assert not stage.exists()
         assert store.get(_sample_key("a")) is None
-
-    def test_invalid_lru_limit_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            PrepStore(tmp_path, lru_limit=0)
 
     def test_configure_prep_installs_and_disables(self, tmp_path):
         store = configure_prep(tmp_path)
@@ -332,8 +324,6 @@ class TestEndToEndEquivalence:
             store.clear()
             set_prep_store(store)
             for label in ("cold", "warm"):
-                if label == "warm":
-                    store._lru.clear()  # force the mmap path, not the LRU
                 for policy in sorted(POLICY_REGISTRY):
                     assert _result_bytes(app, policy, config) == baselines[policy], (
                         app, policy, seed, dataclasses.astuple(geometry)[:2], label,
@@ -381,10 +371,9 @@ class TestEndToEndEquivalence:
         store = PrepStore(tmp_path)
         set_prep_store(store)
         baseline = _result_bytes("equake", "model-based", quick_config)
-        # Corrupt every bundle on disk, drop the in-process LRU.
+        # Corrupt every bundle on disk.
         for meta_path in store.version_dir.glob("*/*/meta.json"):
             meta_path.write_text("garbage", encoding="utf-8")
-        store._lru.clear()
         recovered = _result_bytes("equake", "model-based", quick_config)
         assert recovered == baseline
         assert store.stats()["corrupt"] == 2
@@ -416,7 +405,6 @@ class TestEndToEndEquivalence:
             ]
             for label in ("none", "cold", "warm"):
                 set_prep_store(None if label == "none" else store)
-                store._lru.clear()  # a warm run maps the bundle from disk
                 clear_program_cache()
                 results = run_batch(app, cells)
                 for (policy, cfg), result, ref in zip(cells, results, reference):
@@ -483,7 +471,6 @@ class TestStreamBundleValidation:
         bad = good_lens.copy()
         bad[0, 0] += 1
         np.save(path / "lens.npy", bad)
-        store._lru.clear()
         clear_program_cache()
         warm = [json.dumps(r.to_dict(), sort_keys=True) for r in run_batch("swim", cells)]
         # THEN the bundle counts as corrupt, is regenerated, and the replay
@@ -528,6 +515,200 @@ class TestStreamBundleValidation:
         self._mangle(arrays, how)
         with pytest.raises(ValueError):
             compiled_from_bundle(PrepBundle("digest", meta, arrays))
+
+
+class TestTraceBundleValidation:
+    """Thread works are sliced out of a trace bundle by offsets derived
+    from its ``lens``, and NumPy slicing clamps: a ``lens`` that disagrees
+    with the arrays must count as corruption, not rebuild a different
+    program."""
+
+    @staticmethod
+    def _trace_params(config: SystemConfig) -> dict:
+        return dict(
+            n_threads=config.n_threads,
+            n_intervals=config.n_intervals,
+            interval_instructions=config.interval_instructions,
+            sections_per_interval=config.sections_per_interval,
+            seed=config.seed,
+            line_bytes=config.line_bytes,
+        )
+
+    @staticmethod
+    def _assert_same_program(got, want) -> None:
+        assert got.name == want.name
+        assert got.meta == want.meta
+        assert len(got.sections) == len(want.sections)
+        for sec_a, sec_b in zip(got.sections, want.sections):
+            assert len(sec_a.works) == len(sec_b.works)
+            for w_a, w_b in zip(sec_a.works, sec_b.works):
+                np.testing.assert_array_equal(w_a.addrs, w_b.addrs)
+                np.testing.assert_array_equal(w_a.gaps, w_b.gaps)
+
+    @pytest.mark.parametrize("how", ("entry-raised", "entry-negative"))
+    def test_when_lens_disagrees_with_the_arrays_then_bundle_evicted_and_regenerated(
+        self, tmp_path, quick_config, how
+    ):
+        # GIVEN a store holding ft's trace bundle
+        profile = get_workload("ft")
+        params = self._trace_params(quick_config)
+        reference = build_program(profile, **params)  # no store
+        store = PrepStore(tmp_path)
+        set_prep_store(store)
+        build_program(profile, **params)  # cold: publishes the bundle
+        path = store.path_for(trace_key(profile, **params, work_jitter=0.05))
+        good_lens = np.load(path / "lens.npy")
+        # WHEN its lens.npy is rewritten with the same shape and dtype (so
+        # the manifest still matches) but one entry raised by 5 or set to -3
+        bad = good_lens.copy()
+        if how == "entry-raised":
+            bad[0, 0] += 5
+        else:
+            bad[0, 0] = -3
+        np.save(path / "lens.npy", bad)
+        rebuilt = build_program(profile, **params)
+        # THEN the bundle counts as corrupt, the program equals a
+        # store-less build, and the republished bundle is sound again
+        self._assert_same_program(rebuilt, reference)
+        assert store.stats()["corrupt"] == 1
+        assert METRICS.counter("prep.corrupt").value == 1
+        np.testing.assert_array_equal(np.load(path / "lens.npy"), good_lens)
+
+    @pytest.mark.parametrize(
+        "how",
+        ("lens-shape", "addrs-dtype", "gaps-short", "not-contiguous", "missing",
+         "no-n_sections"),
+    )
+    def test_when_structure_is_inconsistent_then_program_from_bundle_raises(
+        self, quick_config, how
+    ):
+        program = build_program(get_workload("ft"), **self._trace_params(quick_config))
+        arrays, meta = trace_bundle(program)
+        if how == "no-n_sections":
+            del meta["n_sections"]
+        elif how == "lens-shape":
+            arrays["lens"] = arrays["lens"].ravel().copy()
+        elif how == "addrs-dtype":
+            arrays["addrs"] = arrays["addrs"].astype(np.int32)
+        elif how == "gaps-short":
+            arrays["gaps"] = arrays["gaps"][:-1].copy()
+        elif how == "not-contiguous":
+            arrays["lens"] = np.asfortranarray(arrays["lens"])
+        else:
+            del arrays["gaps"]
+        with pytest.raises(ValueError):
+            program_from_bundle(PrepBundle("digest", meta, arrays))
+
+
+class TestBundleManifestValidation:
+    """A program is rebuilt from its bundle's manifest fields as well as
+    its arrays: a manifest that lacks one is corruption, evicted and
+    regenerated, never a failed cell."""
+
+    @pytest.mark.parametrize("kind", ("trace", "streams"))
+    def test_when_manifest_lacks_n_sections_then_bundle_evicted_and_regenerated(
+        self, tmp_path, quick_config, kind
+    ):
+        # GIVEN a store holding swim's trace and stream bundles
+        profile = get_workload("swim")
+        params = TestTraceBundleValidation._trace_params(quick_config)
+        cells = [("model-based", quick_config), ("shared", quick_config)]
+        clear_program_cache()
+        want = [json.dumps(r.to_dict(), sort_keys=True) for r in run_batch("swim", cells)]
+        store = PrepStore(tmp_path)
+        set_prep_store(store)
+        run_batch("swim", cells)  # cold: publishes both bundles
+        key = stream_key(profile, quick_config)
+        if kind == "trace":
+            # without its stream bundle the replay must rebuild from the trace
+            shutil.rmtree(store.path_for(key))
+            key = trace_key(profile, **params, work_jitter=0.05)
+        # WHEN that bundle's meta.json loses its n_sections field
+        meta_path = store.path_for(key) / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["n_sections"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        clear_program_cache()
+        got = [json.dumps(r.to_dict(), sort_keys=True) for r in run_batch("swim", cells)]
+        # THEN the bundle counts as corrupt, is republished whole, and the
+        # replay matches a store-less one
+        assert got == want
+        assert store.stats()["corrupt"] == 1
+        assert "n_sections" in json.loads(meta_path.read_text(encoding="utf-8"))
+
+
+class TestProgramLifetime:
+    """A batch unit is its program's only consumer, so the program and
+    the prep bundle mapping it reads must die with the unit, by
+    reference counting alone; solo cells keep the memo."""
+
+    def test_when_run_batch_replays_a_warm_bundle_then_program_and_mapping_die_with_it(
+        self, tmp_path, quick_config, monkeypatch
+    ):
+        # GIVEN a warm store holding a batch's stream bundle, and a get
+        # that records weak references to each mapped array's mapping
+        store = PrepStore(tmp_path)
+        set_prep_store(store)
+        clear_program_cache()
+        cells = [("model-based", quick_config), ("shared", quick_config)]
+        run_batch("swim", cells)
+        clear_program_cache()
+        mappings = []
+        get = PrepStore.get
+
+        def recording_get(self, key):
+            bundle = get(self, key)
+            if bundle is not None:
+                mappings.extend(weakref.ref(a.base) for a in bundle.arrays.values())
+            return bundle
+
+        monkeypatch.setattr(PrepStore, "get", recording_get)
+        # WHEN run_batch replays it with the cyclic GC disabled
+        gc.disable()
+        try:
+            results = run_batch("swim", cells)
+            alive = [ref() is not None for ref in mappings]
+        finally:
+            gc.enable()
+        # THEN the memo holds no entry for the program and every mapping is gone
+        assert len(results) == len(cells)
+        assert store.stats()["hits"] == 1
+        assert mappings and not any(alive)
+        assert driver._cache_key(get_workload("swim"), quick_config) not in driver._PROGRAM_CACHE
+
+    def test_when_keep_false_misses_then_memo_size_unchanged(self, quick_config):
+        clear_program_cache()
+        prepare_program("art", quick_config)
+        size = len(driver._PROGRAM_CACHE)
+        prepare_program("swim", quick_config, keep=False)
+        assert len(driver._PROGRAM_CACHE) == size
+        assert METRICS.counter("sim.program_cache.misses").value == 2
+
+    def test_when_memo_holds_the_program_then_keep_false_returns_it_and_counts_a_hit(
+        self, quick_config
+    ):
+        clear_program_cache()
+        kept = prepare_program("swim", quick_config)
+        assert prepare_program("swim", quick_config, keep=False) is kept
+        assert METRICS.counter("sim.program_cache.hits").value == 1
+
+    def test_when_program_cache_cleared_then_fast_backend_releases_its_program(
+        self, quick_config
+    ):
+        # GIVEN a program replayed twice in a row on the fast backend
+        config = quick_config.with_(cache_backend="fast")
+        clear_program_cache()
+        run_application("swim", "shared", config)
+        slots = fastpath._PREP_CACHE[2]
+        run_application("swim", "model-based", config)
+        assert slots and fastpath._PREP_CACHE[2] is slots  # a live program's prep is reused
+        program = weakref.ref(prepare_program("swim", config))
+        # WHEN the program memo is cleared
+        clear_program_cache()
+        gc.collect()
+        # THEN nothing holds the program, nor its prepared replay streams
+        assert program() is None
+        assert fastpath._PREP_CACHE[2] == {}
 
 
 def _hammer_prep(root: str, barrier, out) -> None:
