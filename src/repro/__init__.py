@@ -20,11 +20,9 @@ Public surface:
 * :mod:`repro.partition` — all partitioning policies (``POLICY_REGISTRY``).
 * :mod:`repro.trace` — the nine synthetic workload profiles (``WORKLOADS``).
 * :mod:`repro.experiments` — one runner per paper figure/table.
-* :mod:`repro.exec` — parallel execution engines and the persistent,
-  content-addressed result store (``--jobs`` / ``--cache-dir``).
-* :mod:`repro.dist` — distributed sweeps: ``repro worker`` processes
-  and :class:`~repro.dist.engine.RemoteEngine` (``--engine remote
-  --workers host:port,...``; DESIGN.md §G).
+* :mod:`repro.exec` — the serial and process-pool execution engines
+  and the persistent, content-addressed result store (``--jobs`` /
+  ``--cache-dir``).
 """
 
 # Defined before any subpackage import: repro.exec and repro.prep read it

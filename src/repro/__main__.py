@@ -11,19 +11,16 @@ run-spec   execute a checked-in YAML/JSON experiment spec: same grid
 compare-runs
            diff two sweep result stores cell by cell and exit non-zero
            on regression (the continuous-benchmarking gate)
-worker     run a distributed-sweep worker; point ``--engine remote
-           --workers host:port,...`` at a fleet of them (DESIGN.md §G)
 report     summarize a telemetry trace written by ``--trace``
 list       list workloads, policies and experiments
 
-Every simulating command accepts ``--jobs N`` (simulate on N worker
-processes), ``--engine remote --workers host:port,...`` (dispatch to a
-``repro worker`` fleet instead), ``--cache-dir DIR`` (persist results in
-a content-addressed on-disk store, reused by later invocations),
-``--trace PATH`` (write telemetry events to PATH; ``--trace-format
-chrome`` emits a Chrome ``trace_event`` file loadable in Perfetto
-instead of JSONL) and ``-v`` (print execution/cache counters to
-stderr).
+Every simulating command accepts ``--jobs N`` (simulate on a pool of N
+worker processes; 1, the default, simulates in-process), ``--cache-dir
+DIR`` (persist results in a content-addressed on-disk store, reused by
+later invocations), ``--trace PATH`` (write telemetry events to PATH;
+``--trace-format chrome`` emits a Chrome ``trace_event`` file loadable
+in Perfetto instead of JSONL) and ``-v`` (print execution/cache counters
+to stderr).
 
 Examples
 --------
@@ -98,19 +95,6 @@ def _policy_name(value: str) -> str:
     return POLICY_ALIASES.get(value, value)
 
 
-def _worker_list(value: str) -> list[tuple[str, int]]:
-    """argparse type for ``--workers``: comma-separated ``host:port``."""
-    from repro.dist import parse_worker_address
-
-    try:
-        addresses = [parse_worker_address(p) for p in value.split(",") if p.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not addresses:
-        raise argparse.ArgumentTypeError("--workers needs at least one host:port")
-    return addresses
-
-
 def _fault_plan(value: str) -> FaultPlan:
     """argparse type for ``--faults``: inline JSON, or a path to a JSON
     file, describing ``{"seed": ..., "rules": [{"kind": ..., ...}]}``."""
@@ -164,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
             help="worker processes for simulations (>= 1; 1 = serial, default)",
-        )
-        p.add_argument(
-            "--engine", default=None, choices=("serial", "pool", "remote"),
-            help="execution engine (default: inferred — remote if --workers "
-            "is given, pool if --jobs > 1, else serial)",
-        )
-        p.add_argument(
-            "--workers", default=None, metavar="HOST:PORT[,...]", type=_worker_list,
-            help="comma-separated addresses of running `repro worker` "
-            "processes to dispatch jobs to (implies --engine remote)",
         )
         p.add_argument(
             "--cache-dir", default=None, metavar="DIR",
@@ -378,34 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cr.add_argument("--json", action="store_true", help="emit JSON instead of ASCII")
 
-    p_wk = sub.add_parser(
-        "worker", help="run a distributed-sweep worker (DESIGN.md §G)"
-    )
-    p_wk.add_argument("--host", default="127.0.0.1", help="bind address (default localhost)")
-    p_wk.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0: pick a free port and print it)",
-    )
-    p_wk.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound port to PATH once listening (for scripts; "
-        "pairs with --port 0)",
-    )
-    p_wk.add_argument(
-        "--worker-id", default=None, metavar="NAME",
-        help="name reported to coordinators (default host-pid)",
-    )
-    p_wk.add_argument(
-        "--prep-dir", default=None, metavar="DIR",
-        help="local prepared-program cache; misses are fetched from the "
-        "coordinator over the job connection and verified by content hash",
-    )
-    p_wk.add_argument(
-        "--ping", default=None, metavar="HOST:PORT",
-        help="probe a running worker (handshake + ping) and exit: 0 alive, "
-        "1 unreachable or incompatible",
-    )
-
     p_rep = sub.add_parser("report", help="summarize a JSONL trace written by --trace")
     p_rep.add_argument("trace", help="path to a .jsonl trace file")
     p_rep.add_argument(
@@ -427,30 +373,16 @@ def _config(args: argparse.Namespace) -> SystemConfig:
     )
 
 
-def _setup_execution(args: argparse.Namespace) -> str | None:
+def _setup_execution(args: argparse.Namespace) -> None:
     """Install the engine/store/fault-plan selected by ``--jobs`` /
-    ``--engine`` / ``--workers`` / ``--cache-dir`` / ``--prep-dir`` /
-    ``--faults``.  Returns an error message instead of raising (main
-    turns it into usage exit 2)."""
+    ``--cache-dir`` / ``--prep-dir`` / ``--faults``: a process pool
+    when ``--jobs`` is above 1, otherwise the serial engine."""
     set_fault_plan(args.faults)  # before the engine: pool workers inherit it
-    engine_name = args.engine or (
-        "remote" if args.workers else "pool" if args.jobs > 1 else "serial"
-    )
-    if engine_name == "remote":
-        if not args.workers:
-            return "--engine remote requires --workers HOST:PORT[,...]"
-        from repro.dist import RemoteEngine
-
-        engine = RemoteEngine(args.workers)
-    elif engine_name == "pool":
-        engine = ProcessPoolEngine(args.jobs)
-    else:
-        engine = SerialEngine()
+    engine = ProcessPoolEngine(args.jobs) if args.jobs > 1 else SerialEngine()
     store = ResultStore(args.cache_dir) if args.cache_dir else None
     configure(engine=engine, store=store)
     configure_prep(args.prep_dir)
     reset_execution_stats()
-    return None
 
 
 def _report_execution(args: argparse.Namespace) -> None:
@@ -541,9 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # parser.error(); keep main() returning an int
             return int(exc.code or 0)
 
-    if args.command == "worker":
-        return _worker_command(args)
-
     if args.command == "run-spec":
         return _trace_wrapped(args, lambda: _run_spec_command(args))
 
@@ -565,11 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         print(summarize(records, top=args.top))
         return 0
 
-    setup_error = _setup_execution(args)
-    if setup_error is not None:
-        print(f"{args.command}: {setup_error}", file=sys.stderr)
-        return 2
-
+    _setup_execution(args)
     return _trace_wrapped(args, lambda: _dispatch(args))
 
 
@@ -837,64 +762,6 @@ def _compare_runs_command(args: argparse.Namespace) -> int:
     else:
         print(comparison.format())
     return comparison.exit_code
-
-
-def _worker_command(args: argparse.Namespace) -> int:
-    """``repro worker``: serve jobs until a signal, or probe via --ping."""
-    from repro.dist import HandshakeError, WorkerServer, parse_worker_address, ping_worker
-    from repro.dist.worker import write_port_file
-
-    if args.ping:
-        try:
-            address = parse_worker_address(args.ping)
-        except ValueError as exc:
-            print(f"worker: {exc}", file=sys.stderr)
-            return 2
-        try:
-            info = ping_worker(address)
-        except HandshakeError as exc:
-            print(f"worker: {args.ping} is incompatible: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"worker: {args.ping} is unreachable: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"worker: {args.ping} alive — {info['worker']} "
-            f"pid={info['pid']} version={info['version']}"
-        )
-        return 0
-
-    configure_prep(args.prep_dir)
-    try:
-        server = WorkerServer(
-            args.host,
-            args.port,
-            worker_id=args.worker_id,
-            exit_on_vanish=True,  # a real worker process dies for real
-            install_prep_fetcher=True,
-        )
-    except OSError as exc:  # port in use, bad bind address, ...
-        print(f"worker: {exc}", file=sys.stderr)
-        return 1
-    host, port = server.address
-
-    def _stop(signum, frame):
-        raise _Interrupted(signum)
-
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        print(f"worker: {server.worker_id} listening on {host}:{port}", flush=True)
-        write_port_file(args.port_file, port)
-        server.serve_forever()
-    except (_Interrupted, KeyboardInterrupt) as exc:
-        signame = exc.args[0] if isinstance(exc, _Interrupted) else "SIGINT"
-        server.stop()
-        print(
-            f"worker: stopped by {signame} after {server.jobs_run} job(s)",
-            file=sys.stderr,
-        )
-    return 0
 
 
 def _interrupted_sweep(args: argparse.Namespace, signame: str) -> int:

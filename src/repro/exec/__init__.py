@@ -9,10 +9,8 @@ that makes those replays cheap:
 * :class:`ExecutionEngine` — how jobs run: :class:`SerialEngine`
   (in-process), :class:`ProcessPoolEngine` (multiprocessing fan-out
   with chunked submission, per-job timeouts, bounded retry with backoff
-  and graceful degradation to serial when a pool worker dies) or
-  :class:`~repro.dist.engine.RemoteEngine` (a static list of TCP
-  workers; lives in :mod:`repro.dist`).  All three share one
-  :class:`EngineOptions` retry/backoff configuration.
+  and graceful degradation to serial when a pool worker dies).  Both
+  share one :class:`EngineOptions` retry/backoff configuration.
 * :class:`ResultStore` — a content-addressed cache of
   :class:`~repro.core.records.RunResult` that persists across harness
   invocations (key = SHA-256 of the job's canonical JSON, atomic
@@ -25,26 +23,17 @@ that makes those replays cheap:
   cells; ``run_sweep(..., journal=..., resume=True)`` restores them
   after a crash instead of recomputing.
 * :class:`FaultPlan` — deterministic, seeded fault injection (worker
-  death, job exceptions, artifact corruption, delays, plus the network
-  kinds in ``NET_FAULT_KINDS``: slow links, dropped connections,
-  partitions, vanishing workers) threaded through every engine and
-  store behind a zero-overhead-when-disabled hook.
+  death, job exceptions, artifact corruption, delays) threaded through
+  every engine and store behind a zero-overhead-when-disabled hook.
 
 See DESIGN.md §A (execution appendix) for the key scheme and the
-invalidation-by-version rule, §E for crash safety and fault
-injection, and §G for distributed execution.
+invalidation-by-version rule, and §E for crash safety and fault
+injection.
 """
 
 from repro.exec.backend import LocalDirBackend, MemoryBackend, StoreBackend
 from repro.exec.engine import EngineOptions, ExecutionEngine, SerialEngine, execute_job
-from repro.exec.faults import (
-    NET_FAULT_KINDS,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    get_fault_plan,
-    set_fault_plan,
-)
+from repro.exec.faults import FaultPlan, FaultRule, InjectedFault, get_fault_plan, set_fault_plan
 from repro.exec.grid import DEFAULT_POLICIES, POLICY_ALIASES, GridError, SweepGrid
 from repro.exec.jobs import JobOutcome, JobSpec
 from repro.exec.journal import JournalEntry, JournalMismatchError, SweepJournal
@@ -66,7 +55,6 @@ __all__ = [
     "JournalMismatchError",
     "LocalDirBackend",
     "MemoryBackend",
-    "NET_FAULT_KINDS",
     "POLICY_ALIASES",
     "ProcessPoolEngine",
     "ResultStore",

@@ -41,7 +41,7 @@ class EngineOptions:
     """Retry/backoff/degradation knobs shared by every engine.
 
     One frozen bag of semantics instead of per-engine kwargs, so the
-    process-pool and remote engines degrade and retry identically:
+    serial and process-pool engines degrade and retry identically:
 
     ``max_retries``
         How many times a failing job is retried (a job is attempted at
@@ -205,8 +205,8 @@ class ExecutionEngine(ABC):
         """
         if self.backoff_s <= 0:
             return 0.0
-        # The remote engine's dispatcher threads share one budget; the
-        # lock covers the accounting, never the sleep.
+        # Threads retrying through one engine share one budget; the lock
+        # covers the accounting, never the sleep.
         with self._backoff_lock:
             if self._backoff_left <= 0:
                 return 0.0

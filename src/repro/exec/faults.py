@@ -29,23 +29,6 @@ Injector kinds
     PrepStore manifest), driving the corrupt-evict-regenerate path on
     the next read.
 
-Network kinds (fired by :mod:`repro.dist` at its socket hook points; the
-in-process engines never roll them):
-
-``slow-link``
-    Sleep ``delay_s`` before a job frame is sent to a worker (drives
-    dispatch latency without consuming an attempt).
-``conn-drop``
-    Close the worker connection after shipping the job — the attempt is
-    consumed, the coordinator reconnects and retries.
-``partition``
-    The link silently eats the job frame: the attempt is consumed and
-    retried, the socket survives.
-``worker-vanish``
-    The worker process exits mid-job (``os._exit(3)``), driving the
-    worker-lost / redistribute path.  In-thread test workers emulate the
-    vanish by closing their sockets instead of killing the test process.
-
 Zero overhead when disabled: the process-wide plan slot defaults to
 ``None`` and every hook site guards with one ``is None`` check before
 doing any work.  Pool engines ship the active plan to their workers
@@ -71,7 +54,6 @@ from repro.obs.tracer import get_tracer
 
 __all__ = [
     "FAULT_KINDS",
-    "NET_FAULT_KINDS",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
@@ -79,20 +61,9 @@ __all__ = [
     "set_fault_plan",
 ]
 
-FAULT_KINDS = (
-    "delay",
-    "job-exception",
-    "worker-death",
-    "artifact-corruption",
-    "slow-link",
-    "conn-drop",
-    "partition",
-    "worker-vanish",
-)
+FAULT_KINDS = ("delay", "job-exception", "worker-death", "artifact-corruption")
 
 _JOB_KINDS = ("delay", "job-exception", "worker-death")
-
-NET_FAULT_KINDS = ("slow-link", "conn-drop", "partition", "worker-vanish")
 
 
 class InjectedFault(RuntimeError):
@@ -193,19 +164,6 @@ class FaultPlan:
         faults its workers will execute."""
         out = []
         for kind in _JOB_KINDS:
-            rule = self.select(kind, key, attempt)
-            if rule is not None:
-                out.append(rule)
-        return tuple(out)
-
-    def planned_net_faults(self, key: str, attempt: int) -> tuple[FaultRule, ...]:
-        """Every network fault that will fire when ``(key, attempt)`` is
-        shipped to a worker.  Deterministic in the same roll as every
-        other kind, so coordinator and worker agree on what the wire
-        does without speaking — the property that keeps remote sweeps
-        byte-identical under chaos."""
-        out = []
-        for kind in NET_FAULT_KINDS:
             rule = self.select(kind, key, attempt)
             if rule is not None:
                 out.append(rule)

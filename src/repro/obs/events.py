@@ -39,7 +39,6 @@ __all__ = [
     "IntervalEvent",
     "InterruptEvent",
     "JobEndEvent",
-    "JobShippedEvent",
     "JobStartEvent",
     "MetricsEvent",
     "RepartitionEvent",
@@ -47,8 +46,6 @@ __all__ = [
     "SpanEvent",
     "StoreHitEvent",
     "StoreMissEvent",
-    "WorkerJoinEvent",
-    "WorkerLostEvent",
 ]
 
 
@@ -211,41 +208,6 @@ class StoreMissEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class WorkerJoinEvent(TraceEvent):
-    """A remote worker completed the protocol handshake for a batch."""
-
-    kind: ClassVar[str] = "worker_join"
-
-    worker: str
-    address: str
-    pid: int
-
-
-@dataclass(frozen=True)
-class WorkerLostEvent(TraceEvent):
-    """A remote worker's link died (vanished process, dropped connection,
-    failed handshake).  ``requeued`` counts jobs sent back to the pool."""
-
-    kind: ClassVar[str] = "worker_lost"
-
-    worker: str
-    address: str
-    reason: str
-    requeued: int = 0
-
-
-@dataclass(frozen=True)
-class JobShippedEvent(TraceEvent):
-    """One job attempt was dispatched over the wire to a worker."""
-
-    kind: ClassVar[str] = "job_shipped"
-
-    label: str
-    worker: str
-    attempt: int
-
-
-@dataclass(frozen=True)
 class SpanEvent(TraceEvent):
     """A timed phase; the tracer stamps the *end*, so the phase started at
     ``ts - duration_s``."""
@@ -280,9 +242,6 @@ EVENT_KINDS: dict[str, type[TraceEvent]] = {
         InterruptEvent,
         StoreHitEvent,
         StoreMissEvent,
-        WorkerJoinEvent,
-        WorkerLostEvent,
-        JobShippedEvent,
         SpanEvent,
         MetricsEvent,
     )

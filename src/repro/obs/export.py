@@ -118,7 +118,6 @@ def chrome_trace(records: list[dict]) -> list[dict]:
         elif kind in (
             "job_start", "retry", "store_hit", "store_miss", "metrics",
             "engine_degraded", "fault_injected", "interrupt",
-            "worker_join", "worker_lost", "job_shipped",
         ):
             args = {k: v for k, v in rec.items() if k not in ("kind", "ts")}
             out.append({
@@ -236,24 +235,6 @@ def summarize(records: list[dict], *, top: int = 5) -> str:
                 )
         for r in failed:
             lines.append(f"  FAILED {r['label']}: {r.get('error')}")
-
-    joins = [r for r in records if r["kind"] == "worker_join"]
-    losses = [r for r in records if r["kind"] == "worker_lost"]
-    shipped = [r for r in records if r["kind"] == "job_shipped"]
-    if joins or losses or shipped:
-        lines.append("")
-        lines.append(
-            f"distributed: {len(joins)} worker join(s), {len(losses)} worker "
-            f"loss(es), {len(shipped)} job(s) shipped"
-        )
-        by_worker = TallyCounter(r["worker"] for r in shipped)
-        for worker, count in by_worker.most_common():
-            lines.append(f"  {worker:<28} {count} job(s)")
-        for r in losses:
-            lines.append(
-                f"  LOST {r['worker']} at {r['address']}: {r['reason']} "
-                f"({r.get('requeued', 0)} job(s) requeued)"
-            )
 
     degraded = [r for r in records if r["kind"] == "engine_degraded"]
     if degraded:

@@ -111,15 +111,6 @@ class PrepStore:
         self.corrupt = 0
         self.races = 0
         self.stale_swept = 0
-        self.fetched = 0
-        # Optional remote source tried before a miss is final: a callable
-        # ``key -> serialized bundle | None`` (see repro.dist.codec).  A
-        # distributed worker installs one that asks its coordinator, so
-        # prep artifacts ship lazily instead of requiring a shared
-        # filesystem.  Fetched bytes are content-hash verified before
-        # they are trusted.
-        self.fetcher = None
-        self._fetching = False
         # Startup sweep: staging dirs orphaned by hard-killed publishers
         # must not accumulate across repeatedly crashed runs.
         self.sweep_stale()
@@ -145,10 +136,8 @@ class PrepStore:
             with (path / _META_NAME).open("r", encoding="utf-8") as fh:
                 meta = json.load(fh)
         except FileNotFoundError:
-            fetched = self._fetch_remote(key)
-            if fetched is None:
-                self._miss()
-            return fetched
+            self._miss()
+            return None
         except (OSError, json.JSONDecodeError):
             return self._evict_corrupt(path)
         try:
@@ -160,37 +149,6 @@ class PrepStore:
         self._hit()
         METRICS.counter("prep.bytes_mapped").inc(bundle.nbytes)
         return bundle
-
-    def _fetch_remote(self, key: dict) -> PrepBundle | None:
-        """Ask the installed :attr:`fetcher` for a missing bundle.
-
-        The payload's arrays are verified against their SHA-256 content
-        hashes before anything touches the store — a truncated or
-        tampered transfer is dropped (``prep.fetch_rejected``), and the
-        miss stands.  A verified bundle is published through the normal
-        atomic :meth:`put` and re-read through the normal mmap path, so
-        a fetched bundle is indistinguishable from a locally built one.
-        """
-        if self.fetcher is None or self._fetching:
-            return None
-        payload = self.fetcher(key)
-        if payload is None:
-            return None
-        from repro.dist.codec import decode_prep_bundle
-
-        try:
-            arrays, extra = decode_prep_bundle(payload)
-        except ValueError:
-            METRICS.counter("prep.fetch_rejected").inc()
-            return None
-        self.put(key, arrays, extra)
-        self.fetched += 1
-        METRICS.counter("prep.fetched").inc()
-        self._fetching = True
-        try:
-            return self.get(key)
-        finally:
-            self._fetching = False
 
     def _materialize(self, digest: str, path: Path, meta: dict) -> PrepBundle:
         """mmap every array the manifest lists, validating dtype/shape."""
@@ -313,7 +271,6 @@ class PrepStore:
             "corrupt": self.corrupt,
             "races": self.races,
             "stale_swept": self.stale_swept,
-            "fetched": self.fetched,
         }
 
     def _hit(self) -> None:

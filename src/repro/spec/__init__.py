@@ -9,7 +9,7 @@ This package turns experiments into checked-in files (DESIGN.md §H):
   through :class:`repro.exec.grid.SweepGrid`, so a spec run is
   byte-identical to the equivalent flag-driven ``repro sweep``.
 * :mod:`repro.spec.run` — ``repro run-spec``'s engine: executes a spec
-  (serial/pool/remote, journal/resume aware, smoke mode) and checks its
+  (serial or pool, journal/resume aware, smoke mode) and checks its
   ``expectations`` block.
 * :mod:`repro.spec.compare` — ``repro compare-runs``'s engine: diffs two
   content-addressed result stores cell by cell, classifying

@@ -19,7 +19,7 @@ except ``spec_version`` and ``grid``)::
       intervals: 30
       interval_instructions: 8000
       cache_backend: fast
-    engine:                    # where cells run (serial/pool/remote)
+    engine:                    # where cells run (pool if jobs > 1, else serial)
       jobs: 4
       max_retries: 2
     journal: {path: runs/f20.journal, resume: true}
@@ -72,10 +72,7 @@ _TOP_KEYS = {
 }
 _GRID_KEYS = {"apps", "policies", "seeds", "thread_counts", "baseline"}
 _CONFIG_KEYS = {"intervals", "interval_instructions", "cache_backend"}
-_ENGINE_KEYS = {
-    "kind", "jobs", "workers",
-    "max_retries", "backoff_s", "backoff_cap_s", "backoff_budget_s",
-}
+_ENGINE_KEYS = {"jobs", "max_retries", "backoff_s", "backoff_cap_s", "backoff_budget_s"}
 _JOURNAL_KEYS = {"path", "resume"}
 _EXPECT_KEYS = {"max_failures", "max_baseline_missing", "tolerances", "min_mean_speedup"}
 _METRICS = ("total_cycles", "l2_misses")
@@ -107,31 +104,17 @@ class _Problems:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Where a spec's cells execute (mirrors ``--engine/--jobs/--workers``).
+    """Where a spec's cells execute (mirrors ``--jobs``): a process pool
+    when ``jobs > 1``, otherwise the serial engine."""
 
-    ``kind=None`` means *inferred*, with the CLI's rule: remote if
-    ``workers`` is non-empty, pool if ``jobs > 1``, else serial.
-    """
-
-    kind: str | None = None
     jobs: int = 1
-    workers: tuple[str, ...] = ()
     options: EngineOptions = field(default_factory=EngineOptions)
 
     def resolved_kind(self) -> str:
-        if self.kind is not None:
-            return self.kind
-        return "remote" if self.workers else "pool" if self.jobs > 1 else "serial"
+        return "pool" if self.jobs > 1 else "serial"
 
     def build(self) -> ExecutionEngine:
-        kind = self.resolved_kind()
-        if kind == "remote":
-            from repro.dist import RemoteEngine, parse_worker_address
-
-            return RemoteEngine(
-                [parse_worker_address(w) for w in self.workers], options=self.options
-            )
-        if kind == "pool":
+        if self.jobs > 1:
             from repro.exec.pool import ProcessPoolEngine
 
             return ProcessPoolEngine(self.jobs, options=self.options)
@@ -139,9 +122,7 @@ class EngineSpec:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "jobs": self.jobs,
-            "workers": list(self.workers),
             "max_retries": self.options.max_retries,
             "backoff_s": self.options.backoff_s,
             "backoff_cap_s": self.options.backoff_cap_s,
@@ -304,28 +285,10 @@ def _parse_engine(payload: dict, problems: _Problems) -> EngineSpec:
     if block is None:
         return EngineSpec()
     _check_keys(block, _ENGINE_KEYS, "spec.engine", problems)
-    kind = block.get("kind")
-    if kind is not None and kind not in ("serial", "pool", "remote"):
-        problems.add("spec.engine.kind", f"expected serial, pool or remote, got {kind!r}")
-        kind = None
     jobs = block.get("jobs", 1)
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         problems.add("spec.engine.jobs", f"expected int >= 1, got {jobs!r}")
         jobs = 1
-    workers = block.get("workers", [])
-    if not isinstance(workers, list) or not all(isinstance(w, str) for w in workers):
-        problems.add("spec.engine.workers", "expected a list of HOST:PORT strings")
-        workers = []
-    else:
-        from repro.dist import parse_worker_address
-
-        for index, worker in enumerate(workers):
-            try:
-                parse_worker_address(worker)
-            except ValueError as exc:
-                problems.add(f"spec.engine.workers[{index}]", str(exc))
-    if kind == "remote" and not workers:
-        problems.add("spec.engine.workers", "engine kind 'remote' needs at least one worker")
     option_values = {}
     for key in ("max_retries", "backoff_s", "backoff_cap_s", "backoff_budget_s"):
         if key in block:
@@ -335,7 +298,7 @@ def _parse_engine(payload: dict, problems: _Problems) -> EngineSpec:
     except (TypeError, ValueError) as exc:
         problems.add("spec.engine", str(exc))
         options = EngineOptions()
-    return EngineSpec(kind=kind, jobs=jobs, workers=tuple(workers), options=options)
+    return EngineSpec(jobs=jobs, options=options)
 
 
 def _parse_journal(payload: dict, problems: _Problems) -> JournalSpec | None:

@@ -67,12 +67,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("command", ["serve", "submit"])
+    @pytest.mark.parametrize("command", ["serve", "submit", "worker"])
     def test_removed_service_commands_are_unknown(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([command])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("flag", "value"), [("workers", "127.0.0.1:9"), ("engine", "serial")])
+    def test_when_sweep_gets_a_removed_engine_flag_then_exit_2(self, flag, value, capsys):
+        # --jobs alone picks the engine: pool above 1, otherwise serial.
+        argv = ["sweep", "--apps", "ft", "--policies", "shared", "--intervals", "2",
+                f"--{flag}", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 QUICK = ["--intervals", "6", "--interval-instructions", "3000"]
@@ -201,6 +211,24 @@ class TestTraceFlags:
         assert "run swim/model-based" in out
         assert "per-thread CPI trajectory" in out
         assert "repartitions:" in out
+
+    def test_when_report_reads_retired_worker_events_then_exit_0(self, tmp_path, capsys):
+        # Traces written by versions with a remote engine hold worker
+        # events; the report still reads them and only tallies their kinds.
+        trace = tmp_path / "old.jsonl"
+        records = [
+            {"kind": "worker_join", "ts": 0.1, "worker": "w1",
+             "address": "127.0.0.1:9", "pid": 7},
+            {"kind": "job_shipped", "ts": 0.2, "label": "ft/shared",
+             "worker": "w1", "attempt": 1},
+            {"kind": "worker_lost", "ts": 0.3, "worker": "w1",
+             "address": "127.0.0.1:9", "reason": "eof", "requeued": 1},
+        ]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "job_shipped=1, worker_join=1, worker_lost=1" in out
+        assert "distributed:" not in out
 
     def test_report_rejects_chrome_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
@@ -369,10 +397,13 @@ class TestCrashSafetyCli:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["run", "swim", "--faults", "{not json"])
         assert exc.value.code == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "swim", "--faults", '{"rules": [{"kind": "bogus"}]}']
-            )
+        # The former network kinds are refused, not accepted and never rolled.
+        for kind in ("bogus", "slow-link", "conn-drop", "partition", "worker-vanish"):
+            plan = json.dumps({"rules": [{"kind": kind}]})
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["run", "swim", "--faults", plan])
+            assert exc.value.code == 2
+            assert "unknown fault kind" in capsys.readouterr().err
 
     def test_resume_requires_journal(self, capsys):
         assert main([*self.SWEEP, "--resume"]) == 2

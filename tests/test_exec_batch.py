@@ -11,14 +11,13 @@ pins the orchestration around it.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.cache import CacheGeometry
 from repro.exec.batch import batch_key, plan_units
-from repro.exec.engine import SerialEngine, execute_job
+from repro.exec.engine import SerialEngine
 from repro.exec.jobs import JobSpec
 from repro.exec.pool import ProcessPoolEngine
 from repro.obs.metrics import METRICS
@@ -187,45 +186,6 @@ class TestBatchedEngines:
         assert METRICS.counter("batch.fallback").value == 2
         for outcome in outcomes:
             assert outcome.result == _fast_twin(outcome.spec)
-
-
-class TestRemoteBatch:
-    def _fleet_specs(self):
-        return _specs([("swim", p) for p in ("shared", "model-based", "static-equal")])
-
-    def test_capable_worker_runs_whole_units(self):
-        from repro.dist.engine import RemoteEngine
-        from repro.dist.worker import WorkerServer
-
-        specs = self._fleet_specs()
-        expected = SerialEngine().run(specs)
-        with WorkerServer() as worker:
-            worker.start()
-            outcomes = RemoteEngine([worker.address]).run(specs)
-        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
-        assert METRICS.counter("dist.batches_shipped").value == 1
-        assert worker.jobs_run == 3
-        for e, o in zip(expected, outcomes, strict=True):
-            assert e.result == o.result
-
-    def test_incapable_worker_decomposes_units(self):
-        from repro.dist.engine import RemoteEngine
-        from repro.dist.worker import WorkerServer
-
-        def _per_job_only(spec):  # not `execute_job` itself → no batch cap
-            return execute_job(spec)
-
-        specs = self._fleet_specs()
-        expected = SerialEngine().run(specs)
-        with WorkerServer(job_runner=_per_job_only) as worker:
-            worker.start()
-            outcomes = RemoteEngine([worker.address]).run(specs)
-        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
-        assert METRICS.counter("dist.batch_unsupported").value == 1
-        assert METRICS.counter("dist.batches_shipped").value == 0
-        assert worker.jobs_run == 3  # shipped one job frame per cell instead
-        for e, o in zip(expected, outcomes, strict=True):
-            assert e.result == o.result
 
 
 # -- lane-equivalence property -----------------------------------------

@@ -223,7 +223,7 @@ class TestBackoff:
         assert engine._backoff_sleep(1) > 0.0
 
     def test_backoff_budget_holds_under_concurrent_retriers(self, monkeypatch):
-        """The remote engine's dispatcher threads share one budget: however
+        """Threads retrying through one engine share one budget: however
         their budget updates interleave, the delays they are granted never
         sum past it."""
         self._capture_sleeps(monkeypatch)

@@ -57,8 +57,10 @@ def _counters() -> dict:
 
 class TestFaultRule:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultRule(kind="coffee-spill")
+        # The former network kinds are refused, not accepted and never rolled.
+        for kind in ("coffee-spill", "slow-link", "conn-drop", "partition", "worker-vanish"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultRule(kind=kind)
 
     def test_rate_and_delay_validated(self):
         with pytest.raises(ValueError, match="rate"):

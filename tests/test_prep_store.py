@@ -89,7 +89,7 @@ class TestPrepStore:
         np.testing.assert_array_equal(bundle.arrays["y"], np.linspace(0.0, 1.0, 5))
         assert store.stats() == {
             "hits": 1, "misses": 1, "writes": 1, "corrupt": 0, "races": 0,
-            "stale_swept": 0, "fetched": 0,
+            "stale_swept": 0,
         }
         assert key in store
         assert len(store) == 1
@@ -364,7 +364,7 @@ class TestEndToEndEquivalence:
         _result_bytes("swim", "shared", quick_config)
         assert get_prep_store().stats() == {
             "hits": 0, "misses": 2, "writes": 2, "corrupt": 0, "races": 0,
-            "stale_swept": 0, "fetched": 0,
+            "stale_swept": 0,
         }
 
     def test_corrupted_artifact_regenerates_correctly(self, tmp_path, quick_config):

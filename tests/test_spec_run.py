@@ -18,7 +18,6 @@ import pytest
 from repro.__main__ import main
 from repro.exec.engine import SerialEngine
 from repro.exec.journal import JournalMismatchError, SweepJournal
-from repro.exec.pool import ProcessPoolEngine
 from repro.exec.sweep import run_sweep
 from repro.spec import check_expectations, parse_spec, run_experiment, smoke_spec
 

@@ -81,7 +81,7 @@ class TestDefaulting:
         doc = _spec(
             name="full",
             description="all blocks populated",
-            engine={"kind": "pool", "jobs": 3, "max_retries": 1, "backoff_s": 0.0},
+            engine={"jobs": 3, "max_retries": 1, "backoff_s": 0.0},
             journal={"path": "runs/full.journal", "resume": False},
             store_dir="runs/store",
             prep_dir="runs/prep",
@@ -104,8 +104,6 @@ class TestDefaulting:
     def test_engine_kind_inference_matches_cli_rule(self):
         assert parse_spec(_spec(engine={"jobs": 4})).engine.resolved_kind() == "pool"
         assert parse_spec(_spec(engine={"jobs": 1})).engine.resolved_kind() == "serial"
-        spec = parse_spec(_spec(engine={"workers": ["127.0.0.1:9999"]}))
-        assert spec.engine.resolved_kind() == "remote"
 
 
 class TestRoundTrip:
@@ -159,8 +157,10 @@ class TestFieldPathErrors:
             (_spec(config={"cache_backend": "turbo"}), "spec.config.cache_backend"),
             (_spec(engine={"kind": "gpu"}), "spec.engine.kind"),
             (_spec(engine={"jobs": 0}), "spec.engine.jobs"),
-            (_spec(engine={"kind": "remote"}), "spec.engine.workers"),
-            (_spec(engine={"workers": ["not-an-address"]}), "spec.engine.workers[0]"),
+            # The engine block has no kind or workers: --jobs alone picks
+            # the engine, and both keys are refused as unknown.
+            (_spec(engine={"workers": ["127.0.0.1:9999"]}), "spec.engine.workers"),
+            (_spec(engine={"kind": "remote"}), "spec.engine.kind"),
             (_spec(journal={"resume": True}), "spec.journal.path"),
             (_spec(journal={"path": "j", "resume": "yes"}), "spec.journal.resume"),
             (_spec(faults={"rules": [{"kind": "martian"}]}), "spec.faults"),
@@ -186,6 +186,13 @@ class TestFieldPathErrors:
     def test_each_bad_field_is_named(self, doc, path):
         problems = _problems(doc)
         assert any(p.startswith(f"{path}:") for p in problems), problems
+
+    def test_when_engine_names_kind_or_workers_then_both_are_unknown_keys(self):
+        problems = _problems(_spec(engine={"kind": "pool", "workers": ["127.0.0.1:9"]}))
+        assert [p.split(" (")[0] for p in problems] == [
+            "spec.engine.kind: unknown key",
+            "spec.engine.workers: unknown key",
+        ]
 
     def test_all_problems_collected_at_once(self):
         doc = {
