@@ -39,7 +39,7 @@ def test_exec_serial_engine(run_once, batch):
 
 def test_exec_process_pool_engine(run_once, batch):
     jobs = min(4, os.cpu_count() or 1)
-    outcomes = run_once(ProcessPoolEngine(jobs, chunk_size=4).run, batch)
+    outcomes = run_once(ProcessPoolEngine(jobs).run, batch)
     assert all(o.ok for o in outcomes)
     # engines must be interchangeable: same jobs, same results
     serial = SerialEngine().run(batch)

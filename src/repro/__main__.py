@@ -769,9 +769,7 @@ def _interrupted_sweep(args: argparse.Namespace, signame: str) -> int:
     from repro.exec.journal import SweepJournal
     from repro.experiments.runner import current_engine, current_store
 
-    engine = current_engine()
-    if hasattr(engine, "close"):
-        engine.close()  # drain the warm pool (workers exit, nothing leaks)
+    current_engine().close()  # drain the warm pool (workers exit, nothing leaks)
     # Our own writers are stopped, so staged temp dirs younger than any
     # TTL are still orphans — sweep them with ttl 0.
     for store in (current_store(), get_prep_store()):

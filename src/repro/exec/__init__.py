@@ -6,11 +6,12 @@ that makes those replays cheap:
 
 * :class:`JobSpec` / :class:`JobOutcome` — the unit of work and its
   recorded outcome (result or error, attempts, duration).
-* :class:`ExecutionEngine` — how jobs run: :class:`SerialEngine`
-  (in-process), :class:`ProcessPoolEngine` (multiprocessing fan-out
-  with chunked submission, per-job timeouts, bounded retry with backoff
-  and graceful degradation to serial when a pool worker dies).  Both
-  share one :class:`EngineOptions` retry/backoff configuration.
+* :class:`ExecutionEngine` — how jobs run: one attempt state machine
+  (bounded retry with backoff, batch-unit decomposition, per-job
+  timeouts, loud degradation to serial when a pool worker dies) over
+  two transports, :class:`SerialEngine` (in-process) and
+  :class:`ProcessPoolEngine` (a warm multiprocessing pool).  Both share
+  one :class:`EngineOptions` retry/backoff configuration.
 * :class:`ResultStore` — a content-addressed cache of
   :class:`~repro.core.records.RunResult` that persists across harness
   invocations (key = SHA-256 of the job's canonical JSON, atomic

@@ -14,8 +14,6 @@ execution keeps it:
 * cells whose backend is not ``"batch"`` are untouched;
 * an active fault plan disables batching entirely (deterministic fault
   replay is keyed on per-job attempts);
-* an enabled tracer disables batching (job lifecycle narration is
-  per-cell);
 * a custom ``job_runner`` disables batching (the runner contract is
   ``spec -> RunResult``; only the default runner is batch-equivalent);
 * a cell whose prep key is unique in the batch stays a 1-lane unit and
@@ -24,10 +22,12 @@ execution keeps it:
   counter), so an ineligible cell pays zero batching overhead.
 
 Engines fan a unit's results back out into per-cell
-:class:`~repro.exec.jobs.JobOutcome`\\ s, so the journal, result store
-and spec comparator never see batches.  A unit that fails as
-a whole is *decomposed*: its cells re-enter the normal per-job retry
-path with their full attempt budget (``batch.failed`` counter).
+:class:`~repro.exec.jobs.JobOutcome`\\ s, and narrate each cell's
+``job_start``/``job_end`` whatever its unit, so the journal, result
+store, tracer and spec comparator never see batches.  A unit that fails
+as a whole, on either engine, is *decomposed*: its cells re-enter the
+per-job retry path with their full attempt budget (``batch.failed``
+counter; no ``exec.retries``).
 """
 
 from __future__ import annotations

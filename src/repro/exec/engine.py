@@ -1,10 +1,19 @@
-"""Execution engines: the ABC, the serial engine, and the shared retry loop.
+"""Execution engines: the attempt state machine, its in-process transport,
+and the serial engine.
 
 An engine turns a batch of :class:`~repro.exec.jobs.JobSpec` into a batch
 of :class:`~repro.exec.jobs.JobOutcome`, preserving order.  Engines never
 raise for a failing *job* — a job that exhausts its retry budget comes back
 as an outcome with ``error`` set, so one bad run cannot lose the results of
 the rest of a sweep.
+
+:meth:`ExecutionEngine._run` is the one attempt loop: it plans units (one
+cell, or several cells batched over one prepared program), hands each
+round's attempts to a *transport*, and records, retries or decomposes
+what comes back.  Engines differ only in the transport, i.e. where one
+attempt at one unit runs: :class:`SerialEngine` runs it in-process when
+its result is collected, :class:`~repro.exec.pool.ProcessPoolEngine` on
+a warm process pool.
 
 The actual simulation is performed by a *job runner* callable
 (:func:`execute_job` by default); tests inject failing or sleeping runners
@@ -22,10 +31,11 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
 
 from repro.core.records import RunResult
-from repro.exec.faults import fire_job_faults, get_fault_plan
+from repro.exec.faults import announce_faults, fire_job_faults, get_fault_plan
 from repro.exec.jobs import JobOutcome, JobSpec
 from repro.obs.events import EngineDegradedEvent, JobEndEvent, JobStartEvent, RetryEvent
 from repro.obs.metrics import METRICS
@@ -90,8 +100,51 @@ def execute_job(spec: JobSpec) -> RunResult:
     return run_application(spec.app, spec.policy, spec.config)
 
 
+def run_unit(
+    job_runner: Callable[[JobSpec], RunResult], specs: Sequence[JobSpec], attempt: int
+) -> tuple[list[RunResult], float]:
+    """One attempt at one unit, wherever it runs: the unit's results in
+    spec order and its wall-clock seconds.
+
+    Module-level so the pool can pickle it.  A 1-lane unit carries out
+    the job faults planned for ``(label, attempt)``, then calls
+    ``job_runner``; it never announces them (the engine does, once the
+    attempt is used up).  A multi-lane unit runs every lane through
+    :func:`repro.exec.batch.execute_batch`, looked up at call time.
+    """
+    start = time.perf_counter()
+    if len(specs) == 1:
+        fire_job_faults(specs[0].label, attempt)
+        results = [job_runner(specs[0])]
+    else:
+        from repro.exec.batch import execute_batch
+
+        results = execute_batch(specs)
+    return results, time.perf_counter() - start
+
+
+class _Deferred(Future):
+    """The in-process transport's future: the attempt runs when its result
+    is first asked for.  The machine collects a round in order, so each
+    unit's outcomes reach ``on_outcome`` before the next unit starts."""
+
+    def __init__(self, fn, *args) -> None:
+        super().__init__()
+        self._call = (fn, args)
+
+    def result(self, timeout=None):
+        if self._call is not None:
+            fn, args = self._call
+            self._call = None
+            try:
+                self.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 — re-raised just below
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
 class ExecutionEngine(ABC):
-    """Runs batches of jobs; subclasses choose *where* the work happens.
+    """Runs batches of jobs; subclasses choose *where* each attempt runs.
 
     Parameters
     ----------
@@ -110,6 +163,9 @@ class ExecutionEngine(ABC):
     """
 
     name = "engine"
+    #: Cap on the wait for one unit's result, per lane; in-process
+    #: attempts are never timed out.
+    timeout_s: float | None = None
 
     def __init__(
         self,
@@ -163,6 +219,16 @@ class ExecutionEngine(ABC):
     @property
     def max_attempts(self) -> int:
         return self.options.max_attempts
+
+    def close(self) -> None:
+        """Release what the transport holds (nothing, in-process); the
+        engine stays usable."""
+
+    def __enter__(self) -> "ExecutionEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _note_degraded(self, reason: str) -> None:
         """A degradation to serial is a loud warning, never silent: count
@@ -220,93 +286,25 @@ class ExecutionEngine(ABC):
         time.sleep(delay)
         return delay
 
-    def _execute_with_retry(
-        self,
-        spec: JobSpec,
-        *,
-        attempts_used: int = 0,
-        engine_name: str | None = None,
-        emit_start: bool = True,
-    ) -> JobOutcome:
-        """In-process attempt loop shared by the serial engine and by pool
-        engines degrading to serial: ``attempts_used`` carries over attempts
-        a job already consumed elsewhere (e.g. in a broken pool), in which
-        case the pool already announced the job and ``emit_start`` is False.
-        """
-        name = engine_name if engine_name is not None else self.name
-        tracer = get_tracer()
-        if tracer.enabled and emit_start:
-            tracer.emit(
-                JobStartEvent(label=spec.label, app=spec.app, policy=spec.policy, engine=name)
-            )
-        attempts = attempts_used
-        error = "no attempts made"
-        while attempts < max(self.max_attempts, attempts_used + 1):
-            if attempts > attempts_used:
-                self._backoff_sleep(attempts - attempts_used)
-            attempts += 1
-            start = time.perf_counter()
-            try:
-                if get_fault_plan() is not None:
-                    fire_job_faults(spec.label, attempts)
-                result = self.job_runner(spec)
-            except Exception as exc:  # noqa: BLE001 — a job failure is data
-                error = f"{type(exc).__name__}: {exc}"
-                METRICS.counter("exec.retries").inc()
-                if tracer.enabled:
-                    tracer.emit(
-                        RetryEvent(label=spec.label, engine=name, attempt=attempts, error=error)
-                    )
-                continue
-            duration = time.perf_counter() - start
-            METRICS.timer("exec.job").observe(duration)
-            METRICS.counter("exec.jobs_ok").inc()
-            if tracer.enabled:
-                tracer.emit(
-                    JobEndEvent(
-                        label=spec.label,
-                        app=spec.app,
-                        policy=spec.policy,
-                        engine=name,
-                        ok=True,
-                        attempts=attempts,
-                        duration_s=duration,
-                    )
-                )
-            return JobOutcome(
-                spec=spec,
-                result=result,
-                attempts=attempts,
-                duration_s=duration,
-                engine=name,
-            )
-        METRICS.counter("exec.jobs_failed").inc()
-        if tracer.enabled:
-            tracer.emit(
-                JobEndEvent(
-                    label=spec.label,
-                    app=spec.app,
-                    policy=spec.policy,
-                    engine=name,
-                    ok=False,
-                    attempts=attempts,
-                    duration_s=0.0,
-                    error=error,
-                )
-            )
-        return JobOutcome(spec=spec, error=error, attempts=attempts, engine=name)
+    # -- transports -----------------------------------------------------
 
-    # -- batched execution (repro.exec.batch) ---------------------------
+    def _transport(self, n_specs: int) -> Callable[..., Future]:
+        """Where this round's attempts run, for a run of ``n_specs`` jobs:
+        a ``submit(fn, *args) -> Future``.  This one is in-process and
+        lazy; when another cannot be built or its ``submit`` raises, the
+        run degrades to this one."""
+        return _Deferred
+
+    def _abandon(self) -> None:
+        """Drop a transport that timed out or broke (nothing in-process)."""
+
+    # -- the attempt state machine ----------------------------------------
 
     def _batching_enabled(self) -> bool:
         """Batching is a pure perf transformation; anything that depends
         on per-cell execution — fault replay keyed on per-job attempts,
-        per-job trace narration, a custom runner — keeps cells single."""
-        return (
-            self.job_runner is execute_job
-            and get_fault_plan() is None
-            and not get_tracer().enabled
-        )
+        a custom runner — keeps cells single."""
+        return self.job_runner is execute_job and get_fault_plan() is None
 
     def _plan_units(self, specs: Sequence[JobSpec]) -> list[tuple[int, ...]]:
         """Index units for ``specs``: multi-lane groups when the batch
@@ -317,53 +315,156 @@ class ExecutionEngine(ABC):
 
         return plan_units(specs)
 
-    def _run_batch_inline(
-        self, specs: list[JobSpec], *, engine_name: str | None = None
-    ) -> list[JobOutcome]:
-        """One in-process attempt at a whole batch unit.
+    def _run(self, specs: Sequence[JobSpec], on_outcome: OnOutcome | None) -> list[JobOutcome]:
+        """Run every job through the transport, in rounds.
 
-        A failing batch is decomposed, not retried as a batch: every cell
-        re-enters the per-job retry path with its full attempt budget, so
-        batching can never cost a cell its retries.  Wall clock is
-        attributed evenly across lanes (lanes run back-to-back over
-        shared state; finer attribution would charge the shared prep to
-        whichever lane went first).
+        Each round submits every pending unit's next attempt, then
+        collects the results in order.  A success fans out into per-cell
+        outcomes, its wall time split evenly across lanes.  A failed
+        1-lane unit uses up an attempt: its planned faults are announced
+        and it is retried next round, after a backoff sleep, or
+        finalized.  A failed multi-lane unit splits into 1-lane units
+        with their full budget.  A timeout or a dead worker abandons the
+        transport, and units it never finished go back into the queue
+        with their budget intact; a dead worker, or a transport that
+        cannot be built or take the round, runs the rest of the run
+        in-process.
         """
-        from repro.exec.batch import execute_batch
+        specs = list(specs)
+        self._reset_backoff()
+        tracer = get_tracer()
+        plan = get_fault_plan()
+        engine = self.name
+        if tracer.enabled:
+            for spec in specs:
+                tracer.emit(
+                    JobStartEvent(label=spec.label, app=spec.app, policy=spec.policy, engine=engine)
+                )
+        outcomes: list[JobOutcome | None] = [None] * len(specs)
+        attempts = [0] * len(specs)
+        pending = self._plan_units(specs)
+        degraded = False
+        failed_rounds = 0
 
-        name = engine_name if engine_name is not None else self.name
-        start = time.perf_counter()
-        try:
-            results = execute_batch(specs)
-        except Exception as exc:  # noqa: BLE001 — decompose, don't fail cells
-            METRICS.counter("batch.failed").inc()
-            METRICS.counter("exec.retries").inc()
-            tracer = get_tracer()
+        def use_attempt(idx: int) -> None:
+            attempts[idx] += 1
+            if plan is not None:
+                label = specs[idx].label
+                rules = plan.planned_job_faults(label, attempts[idx])
+                if rules:
+                    announce_faults(rules, label, attempts[idx])
+
+        def finish(idx: int, **fields) -> None:
+            spec = specs[idx]
+            outcome = JobOutcome(spec=spec, attempts=attempts[idx], engine=engine, **fields)
+            if outcome.ok:
+                METRICS.timer("exec.job").observe(outcome.duration_s)
+                METRICS.counter("exec.jobs_ok").inc()
+            else:
+                METRICS.counter("exec.jobs_failed").inc()
             if tracer.enabled:
                 tracer.emit(
-                    RetryEvent(
-                        label=f"batch[{specs[0].label}+{len(specs) - 1}]",
-                        engine=name,
-                        attempt=1,
-                        error=f"{type(exc).__name__}: {exc}",
+                    JobEndEvent(
+                        label=spec.label,
+                        app=spec.app,
+                        policy=spec.policy,
+                        engine=engine,
+                        ok=outcome.ok,
+                        attempts=outcome.attempts,
+                        duration_s=outcome.duration_s,
+                        error=outcome.error,
                     )
                 )
-            return [self._execute_with_retry(spec, engine_name=name) for spec in specs]
-        per_cell = (time.perf_counter() - start) / len(specs)
-        outcomes = []
-        for spec, result in zip(specs, results):
-            METRICS.timer("exec.job").observe(per_cell)
-            METRICS.counter("exec.jobs_ok").inc()
-            outcomes.append(
-                JobOutcome(
-                    spec=spec,
-                    result=result,
-                    attempts=1,
-                    duration_s=per_cell,
-                    engine=name,
-                )
-            )
-        return outcomes
+            outcomes[idx] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
+
+        def degrade(reason: str) -> None:
+            nonlocal degraded, engine
+            self._note_degraded(reason)
+            degraded, engine = True, f"{self.name}→serial"
+
+        try:
+            while pending:
+                units, pending = pending, []
+                calls = [
+                    (run_unit, self.job_runner, [specs[i] for i in u], attempts[u[0]] + 1)
+                    for u in units
+                ]
+                if not degraded:
+                    try:
+                        submit = self._transport(len(specs))
+                        futures = [submit(*call) for call in calls]
+                    except Exception as exc:  # noqa: BLE001 — a pool that cannot be built,
+                        # or that broke while idle, degrades like a dead worker
+                        self._abandon()
+                        degrade(f"pool unusable: {type(exc).__name__}: {exc}")
+                if degraded:
+                    futures = [_Deferred(*call) for call in calls]
+                abandoned = retried = False
+                broken: str | None = None
+                for unit, future in zip(units, futures):
+                    if abandoned and not (future.done() and not future.cancelled()):
+                        future.cancel()
+                        pending.append(unit)  # never finished: budget intact
+                        continue
+                    label = specs[unit[0]].label
+                    if len(unit) > 1:
+                        label = f"batch[{label}+{len(unit) - 1}]"
+                    wait = None if self.timeout_s is None else self.timeout_s * len(unit)
+                    try:
+                        results, seconds = future.result(timeout=wait)
+                    except BrokenExecutor:
+                        if abandoned:  # a broken pool's casualty, not the unit's
+                            pending.append(unit)
+                            continue
+                        error = broken = f"pool worker died running {label}"
+                        abandoned = True
+                    except Exception as exc:  # noqa: BLE001 — a unit failure is data
+                        if future.done():
+                            error = f"{type(exc).__name__}: {exc}"
+                        else:  # the wait ran out; the worker may still be wedged on it
+                            error = f"job {label} timed out after {wait:g}s"
+                            abandoned = True
+                    else:
+                        for idx, result in zip(unit, results):
+                            use_attempt(idx)
+                            finish(idx, result=result, duration_s=seconds / len(unit))
+                        continue
+                    if len(unit) > 1:
+                        # Decompose, never retry as a batch: no cell loses
+                        # an attempt to its unit's failure.
+                        METRICS.counter("batch.failed").inc()
+                        pending.extend((idx,) for idx in unit)
+                        continue
+                    (idx,) = unit
+                    use_attempt(idx)
+                    METRICS.counter("exec.retries").inc()
+                    if tracer.enabled:
+                        tracer.emit(
+                            RetryEvent(
+                                label=label, engine=engine, attempt=attempts[idx], error=error
+                            )
+                        )
+                    if attempts[idx] < self.max_attempts:
+                        pending.append(unit)
+                        retried = True
+                    else:
+                        finish(idx, error=error)
+                if abandoned:
+                    self._abandon()
+                pending.sort()
+                if broken is not None and pending and not degraded:
+                    degrade(broken)
+                if retried:
+                    failed_rounds += 1
+                    self._backoff_sleep(failed_rounds)
+        except (KeyboardInterrupt, SystemExit):
+            # Interrupt protocol: never leave a transport (and its worker
+            # processes) behind when the batch is being torn down.
+            self._abandon()
+            raise
+        return outcomes  # type: ignore[return-value]
 
 
 class SerialEngine(ExecutionEngine):
@@ -380,17 +481,4 @@ class SerialEngine(ExecutionEngine):
     def run(
         self, specs: Sequence[JobSpec], *, on_outcome: OnOutcome | None = None
     ) -> list[JobOutcome]:
-        self._reset_backoff()
-        specs = list(specs)
-        outcomes: list[JobOutcome | None] = [None] * len(specs)
-        for unit in self._plan_units(specs):
-            if len(unit) == 1:
-                unit_outcomes = [self._execute_with_retry(specs[unit[0]])]
-            else:
-                unit_outcomes = self._run_batch_inline([specs[i] for i in unit])
-            for idx, outcome in zip(unit, unit_outcomes):
-                outcomes[idx] = outcome
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        assert all(o is not None for o in outcomes)
-        return outcomes  # type: ignore[return-value]
+        return self._run(specs, on_outcome)

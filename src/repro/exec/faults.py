@@ -32,11 +32,12 @@ Injector kinds
 Zero overhead when disabled: the process-wide plan slot defaults to
 ``None`` and every hook site guards with one ``is None`` check before
 doing any work.  Pool engines ship the active plan to their workers
-through the pool initializer (it is a frozen, picklable dataclass), and
-— because decisions are deterministic — the *parent* announces each
-planned job fault as an obs event/counter at submission time, so
-injections stay visible even when they fire in a worker process whose
-tracer and metrics the parent cannot see.
+through the pool initializer (it is a frozen, picklable dataclass).  A
+unit attempt carries its job faults out wherever it runs, and —
+because decisions are deterministic — the *engine* announces each one
+as an obs event/counter when the attempt is used up, so injections stay
+visible even when they fire in a worker process whose tracer and
+metrics the engine cannot see.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class FaultPlan:
 
     def planned_job_faults(self, key: str, attempt: int) -> tuple[FaultRule, ...]:
         """Every job-scoped fault that will fire for ``(key, attempt)`` —
-        computable anywhere, which is what lets the pool parent announce
-        faults its workers will execute."""
+        computable anywhere, which is what lets the engine announce
+        faults its workers executed."""
         out = []
         for kind in _JOB_KINDS:
             rule = self.select(kind, key, attempt)
@@ -200,11 +201,18 @@ def announce_faults(rules: tuple[FaultRule, ...], key: str, attempt: int) -> Non
             tracer.emit(FaultInjectedEvent(fault=rule.kind, key=key, attempt=attempt))
 
 
-def execute_job_faults(rules: tuple[FaultRule, ...], key: str, attempt: int) -> None:
-    """Carry planned job faults out, in deterministic order: delay first
-    (so a delayed job can still subsequently fail), then exception, then
-    worker death.  Raises :class:`InjectedFault` / never returns on the
-    fatal kinds."""
+def fire_job_faults(key: str, attempt: int) -> None:
+    """Hook for the job-attempt site (:func:`repro.exec.engine.run_unit`):
+    carry out the job faults planned for ``(key, attempt)``, in
+    deterministic order — delay first (so a delayed job can still
+    subsequently fail), then exception, then worker death.  Raises
+    :class:`InjectedFault` / never returns on the fatal kinds.  Never
+    announces: the engine does, once the attempt is used up.
+    """
+    plan = _PLAN
+    if plan is None:
+        return
+    rules = plan.planned_job_faults(key, attempt)
     for rule in rules:
         if rule.kind == "delay":
             time.sleep(rule.delay_s)
@@ -218,23 +226,6 @@ def execute_job_faults(rules: tuple[FaultRule, ...], key: str, attempt: int) -> 
             # An in-process engine cannot lose its worker without losing
             # the whole run; degrade the injector to a consumed attempt.
             raise InjectedFault(f"injected worker-death for {key} (attempt {attempt})")
-
-
-def fire_job_faults(key: str, attempt: int, *, announce: bool = True) -> None:
-    """Hook for job-attempt sites (serial retry loop, pool worker shim).
-
-    ``announce=False`` is the pool-worker spelling: the parent already
-    announced at submission time, the worker only executes.
-    """
-    plan = _PLAN
-    if plan is None:
-        return
-    rules = plan.planned_job_faults(key, attempt)
-    if not rules:
-        return
-    if announce:
-        announce_faults(rules, key, attempt)
-    execute_job_faults(rules, key, attempt)
 
 
 def maybe_corrupt_artifact(path, key: str) -> bool:

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 
 from repro.core.records import RunResult
 from repro.exec.engine import ExecutionEngine, SerialEngine
-from repro.exec.jobs import JobSpec
+from repro.exec.jobs import JobOutcome, JobSpec
 from repro.exec.store import ResultStore
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import get_tracer
@@ -100,8 +100,10 @@ def get_results(
 
     Memo and store hits are filled first; the remaining misses go to the
     configured engine as one batch — with a pool engine this is where a
-    figure's whole working set simulates in parallel.  Raises
-    ``RuntimeError`` if any job still fails after the engine's retries.
+    figure's whole working set simulates in parallel.  Each success is
+    stored and memoised as it completes, so a failed cell costs no other
+    cell its result.  Raises ``RuntimeError`` if any job still fails
+    after the engine's retries.
     """
     pairs = list(dict.fromkeys(pairs))
     results: dict[tuple[str, str], RunResult] = {}
@@ -124,9 +126,18 @@ def get_results(
 
     if misses:
         specs = [JobSpec(app, policy, config) for app, policy in misses]
+
+        def record(outcome: JobOutcome) -> None:
+            if outcome.ok:
+                spec = outcome.spec
+                _STATS["simulated"] += 1
+                if _STORE is not None:
+                    _STORE.put(spec, outcome.result)
+                _MEMO[(spec.app, spec.policy, config)] = outcome.result
+
         # Fixed span name: the report aggregates time-in-phase by name.
         with get_tracer().span("simulate-batch"):
-            outcomes = _ENGINE.run(specs)
+            outcomes = _ENGINE.run(specs, on_outcome=record)
         METRICS.counter("experiments.batches").inc()
         for spec, outcome in zip(specs, outcomes, strict=True):
             if not outcome.ok:
@@ -134,10 +145,6 @@ def get_results(
                     f"simulation of {spec.label} failed after "
                     f"{outcome.attempts} attempt(s): {outcome.error}"
                 )
-            _STATS["simulated"] += 1
-            if _STORE is not None:
-                _STORE.put(spec, outcome.result)
-            _MEMO[(spec.app, spec.policy, config)] = outcome.result
             results[(spec.app, spec.policy)] = outcome.result
     return results
 

@@ -114,7 +114,9 @@ class ConvergenceEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class JobStartEvent(TraceEvent):
-    """An engine began working on a job."""
+    """An engine accepted a job: every job of a run gets one before the
+    run's first attempt.  An instant marker; the job's span is drawn
+    from its ``job_end``."""
 
     kind: ClassVar[str] = "job_start"
 

@@ -116,7 +116,7 @@ def run_experiment(
         )
     finally:
         set_fault_plan(None)
-        if owns_engine and hasattr(engine, "close"):
+        if owns_engine:
             engine.close()
 
 

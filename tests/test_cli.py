@@ -373,6 +373,33 @@ class TestRunnerLayer:
         with pytest.raises(RuntimeError, match="injected failure"):
             runner_mod.get_result("ft", "shared", quick_config.with_(seed=31337))
 
+    def test_when_one_cell_fails_then_every_success_is_stored_and_memoised(
+        self, tmp_path, tiny_config
+    ):
+        from repro.exec.engine import SerialEngine, execute_job
+        from repro.exec.jobs import JobSpec
+        from repro.exec.store import ResultStore
+
+        def fail_first(spec):
+            if spec.label == "ft/shared":
+                raise ValueError("injected failure")
+            return execute_job(spec)
+
+        def forbidden(spec):
+            raise AssertionError(f"{spec.label} simulated twice")
+
+        pairs = [("ft", "shared"), ("ft", "model-based"), ("cg", "shared"), ("cg", "model-based")]
+        store = ResultStore(tmp_path)
+        runner_mod.configure(
+            engine=SerialEngine(max_retries=0, backoff_s=0.0, job_runner=fail_first), store=store
+        )
+        with pytest.raises(RuntimeError, match="ft/shared"):
+            runner_mod.get_results(pairs, tiny_config)
+        assert all(store.get(JobSpec(app, policy, tiny_config)) for app, policy in pairs[1:])
+        runner_mod.configure(engine=SerialEngine(job_runner=forbidden), store=None)
+        assert set(runner_mod.get_results(pairs[1:], tiny_config)) == set(pairs[1:])
+        assert runner_mod.execution_stats()["memo_hits"] == 3
+
 
 class TestCrashSafetyCli:
     SWEEP = [

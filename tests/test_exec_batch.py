@@ -11,15 +11,21 @@ pins the orchestration around it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.cache import CacheGeometry
-from repro.exec.batch import batch_key, plan_units
+from repro.exec.batch import batch_key, execute_batch, plan_units
 from repro.exec.engine import SerialEngine
 from repro.exec.jobs import JobSpec
 from repro.exec.pool import ProcessPoolEngine
+from repro.obs import RecordingTracer, set_tracer
 from repro.obs.metrics import METRICS
 from repro.partition import POLICY_REGISTRY
 from repro.sim.driver import run_application, run_batch
@@ -95,13 +101,6 @@ class TestBatchingDisabled:
         from repro.exec.faults import FaultPlan, set_fault_plan
 
         set_fault_plan(FaultPlan(seed=7))
-        assert SerialEngine()._plan_units(_specs(self.BATCHABLE)) == [(0,), (1,)]
-
-    def test_enabled_tracer_disables_batching(self):
-        from repro.obs import set_tracer
-        from repro.obs.tracer import RecordingTracer
-
-        set_tracer(RecordingTracer())
         assert SerialEngine()._plan_units(_specs(self.BATCHABLE)) == [(0,), (1,)]
 
     def test_custom_job_runner_disables_batching(self):
@@ -182,10 +181,140 @@ class TestBatchedEngines:
         # Every cell still succeeds — with its full attempt budget.
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert METRICS.counter("batch.failed").value == 1
+        # Splitting a unit is not a retry: no attempt was used up.
+        assert METRICS.counter("exec.retries").value == 0
         # The decomposed cells ran per-job, i.e. through the fallthrough.
         assert METRICS.counter("batch.fallback").value == 2
         for outcome in outcomes:
             assert outcome.result == _fast_twin(outcome.spec)
+
+
+# -- one attempt machine, both transports --------------------------------
+
+#: Two 2-lane units: swim's cells and art's cells.
+TWO_UNITS = (("swim", "shared"), ("swim", "model-based"), ("art", "shared"), ("art", "model-based"))
+
+
+def _explode(specs):
+    raise RuntimeError("kernel exploded")
+
+
+def _die_in_worker(specs):
+    # Kills the pool worker running the unit (simulating OOM or a native
+    # crash); in the parent the unit runs as usual.
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return execute_batch(specs)
+
+
+def _stall_in_worker(specs):
+    if multiprocessing.parent_process() is not None:
+        time.sleep(4.0)
+    return execute_batch(specs)
+
+
+def _pool(**kwargs) -> ProcessPoolEngine:
+    # fork, so that a monkeypatched execute_batch reaches the workers
+    return ProcessPoolEngine(
+        2, backoff_s=0.0, mp_context=multiprocessing.get_context("fork"), **kwargs
+    )
+
+
+@pytest.fixture(params=["serial", "pool"])
+def engine(request):
+    with SerialEngine(backoff_s=0.0) if request.param == "serial" else _pool() as engine:
+        yield engine
+
+
+class TestOneAttemptMachine:
+    """Retries, unit failure, timeouts and degradation follow one rule,
+    whichever transport runs the attempts."""
+
+    def test_when_tracer_enabled_then_cells_batch_and_each_is_narrated(self):
+        tracer = RecordingTracer()
+        set_tracer(tracer)
+        specs = _specs([("swim", "shared"), ("swim", "model-based")])
+        engine = SerialEngine()
+        assert engine._plan_units(specs) == [(0, 1)]
+        outcomes = engine.run(specs)
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert METRICS.counter("batch.batches").value == 1
+        labels = sorted(s.label for s in specs)
+        for kind in ("job_start", "job_end"):
+            assert sorted(e.label for e in tracer.events if e.kind == kind) == labels
+
+    def test_when_a_multi_lane_unit_raises_then_its_cells_run_single_with_full_budget(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.setattr("repro.exec.batch.execute_batch", _explode)
+        outcomes = engine.run(_specs(TWO_UNITS))
+        assert all(o.ok and o.attempts == 1 for o in outcomes), [o.error for o in outcomes]
+        for outcome in outcomes:
+            assert outcome.result == _fast_twin(outcome.spec)
+        assert METRICS.counter("batch.failed").value == 2
+        assert METRICS.counter("exec.retries").value == 0
+
+    def test_when_a_worker_dies_inside_a_multi_lane_unit_then_the_pool_degrades_loudly(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("repro.exec.batch.execute_batch", _die_in_worker)
+        with _pool() as engine:
+            outcomes = engine.run(_specs(TWO_UNITS))
+        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+        for outcome in outcomes:
+            assert outcome.result == _fast_twin(outcome.spec)
+        assert len(engine.degraded_reasons) == 1
+        assert "pool worker died" in engine.degraded_reasons[0]
+        assert METRICS.counter("exec.degraded_to_serial").value == 1
+        assert "degraded to serial" in capsys.readouterr().err
+
+    def test_when_the_pool_cannot_be_built_then_units_run_in_process_whole(self, monkeypatch):
+        def no_pool(self):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr(ProcessPoolEngine, "_ensure_pool", no_pool)
+        engine = _pool()
+        outcomes = engine.run(_specs(TWO_UNITS))
+        assert all(o.ok and o.attempts == 1 for o in outcomes), [o.error for o in outcomes]
+        assert {o.engine for o in outcomes} == {"process-pool→serial"}
+        assert engine.degraded_reasons == ["pool unusable: OSError: no processes left"]
+        assert METRICS.counter("batch.failed").value == 0
+        assert METRICS.counter("batch.batches").value == 2
+
+    def test_when_serial_runs_two_units_then_the_first_is_recorded_before_the_second_starts(
+        self, monkeypatch
+    ):
+        log = []
+
+        def spy(specs):
+            log.append(("unit", specs[0].app))
+            return execute_batch(specs)
+
+        monkeypatch.setattr("repro.exec.batch.execute_batch", spy)
+        SerialEngine().run(
+            _specs(TWO_UNITS), on_outcome=lambda o: log.append(("outcome", o.spec.app))
+        )
+        assert log == [
+            ("unit", "swim"), ("outcome", "swim"), ("outcome", "swim"),
+            ("unit", "art"), ("outcome", "art"), ("outcome", "art"),
+        ]
+
+    def test_when_a_multi_lane_unit_times_out_then_its_cells_split_onto_a_fresh_pool(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.exec.batch.execute_batch", _stall_in_worker)
+        specs = _specs([("swim", "shared"), ("swim", "model-based")])
+        twins = [_fast_twin(s) for s in specs]
+        # A cell takes well under a second here; the unit's wait is 2 x 1 s.
+        with _pool(timeout_s=1.0) as engine:
+            stalled = engine._ensure_pool()
+            outcomes = engine.run(specs)
+            assert engine._pool_holder and engine._pool_holder[0] is not stalled
+        assert [o.result for o in outcomes] == twins
+        assert all(o.ok and o.attempts == 1 and o.engine == "process-pool" for o in outcomes)
+        assert METRICS.counter("batch.failed").value == 1
+        assert METRICS.counter("exec.retries").value == 0
+        assert engine.degraded_reasons == []
 
 
 # -- lane-equivalence property -----------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -131,7 +132,7 @@ class TestProcessPoolEngine:
             [("ft", "shared"), ("ft", "model-based"), ("cg", "shared"), ("cg", "static-equal")],
         )
         serial = SerialEngine().run(jobs)
-        pool = ProcessPoolEngine(2, chunk_size=2).run(jobs)
+        pool = ProcessPoolEngine(2).run(jobs)
         assert all(o.ok for o in pool)
         for s, p in zip(serial, pool, strict=True):
             assert s.result == p.result, f"{s.spec.label}: pool and serial results differ"
@@ -174,8 +175,6 @@ class TestProcessPoolEngine:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ProcessPoolEngine(0)
-        with pytest.raises(ValueError):
-            ProcessPoolEngine(2, chunk_size=0)
         with pytest.raises(ValueError):
             ProcessPoolEngine(2, timeout_s=0)
 
@@ -277,10 +276,6 @@ class TestBackoff:
 
 
 class TestWarmPool:
-    def test_chunk_size_defaults_to_twice_jobs(self):
-        assert ProcessPoolEngine(3, job_runner=_echo_runner).chunk_size == 6
-        assert ProcessPoolEngine(3, chunk_size=4, job_runner=_echo_runner).chunk_size == 4
-
     def test_pool_persists_across_runs(self, tiny_config):
         jobs = specs_for(tiny_config, [("ft", "shared"), ("cg", "shared")])
         with ProcessPoolEngine(2, job_runner=_echo_runner) as engine:
@@ -323,6 +318,25 @@ class TestWarmPool:
         finally:
             engine.close()
             set_prep_store(previous)
+
+    def test_when_a_worker_dies_while_the_pool_idles_then_the_next_run_degrades_loudly(
+        self, tiny_config
+    ):
+        jobs = specs_for(tiny_config, [("ft", "shared"), ("cg", "shared")])
+        with ProcessPoolEngine(2, job_runner=_echo_runner) as engine:
+            assert all(o.ok for o in engine.run(jobs))
+            pool = engine._pool_holder[0]
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool._broken, "the pool never noticed its dead worker"
+            outcomes = engine.run(jobs)
+            assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+            assert {o.engine for o in outcomes} == {"process-pool→serial"}
+            assert len(engine.degraded_reasons) == 1
+            assert "BrokenProcessPool" in engine.degraded_reasons[0]
+            assert engine._pool_holder == [], "a broken pool must not be rejoined"
 
     def test_abandoned_pool_is_replaced(self, tiny_config):
         engine = ProcessPoolEngine(
